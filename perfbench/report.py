@@ -8,7 +8,8 @@ process: once untraced for the end-to-end metrics (including the two
 outcome ratios), once traced for the per-layer split.  It checks that
 both runs produced the same log digest, which shows the tracing changed
 no game, and reports the tracing overhead as untraced over traced
-edges_per_s.  Exits 1 on a digest mismatch or any incorrect run.
+edges_per_s.  Exits 1 on a digest mismatch; stops with an error as soon
+as a run exits nonzero, which it does on incorrect output.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         same = plain["digest"] == traced["digest"]
         overhead = (plain["metrics"]["edges_per_s"]["value"]
                     / traced["metrics"]["trace.edges_per_s"]["value"])
-        ok &= same and plain["correct"] and traced["correct"]
+        ok &= same
         print(f"== {workload} (seed {args.seed}, {plain['attempted']} ops "
               f"untraced, {traced['attempted']} traced)")
         for name, m in plain["printed"].items():
@@ -64,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
             "tracing_overhead": overhead,
             "ops": {"untraced": plain["attempted"],
                     "traced": traced["attempted"]},
-            "correct": plain["correct"] and traced["correct"],
         }
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")

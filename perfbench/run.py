@@ -1,14 +1,16 @@
 """hamgame benchmark: play and verify fixed workloads, print every metric.
 
     python3 perfbench/run.py --workload play-random-4000 --seed 0 \
-        --seconds 25 --trace 0
+        [--seconds N] --trace 0
 
 Run from anywhere inside a source checkout: the package is imported
 from `src/` next to this directory, never from site-packages.  One
 process runs operations back to back (a closed loop with one client)
 until `--seconds` of wall time have passed, always finishing the current
 cycle of policies so every run weighs the policies equally.  Correctness
-checks run between operations, outside the timed region.
+checks run between operations, outside the timed region; if any fails,
+the run still prints its metrics and then exits 1.  `--seconds`
+defaults to `run_seconds` in BENCHMARK.json.
 
 With `--trace 0` the last line carries the end-to-end metrics; with
 `--trace 1` the package's entry points are wrapped (see layers.py) and
@@ -317,13 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     import_hamgame()
     result = run(args.workload, args.seed, args.seconds, bool(args.trace))
     print(json.dumps(result))
-    return 0
+    return 0 if result["correct"] else 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 """Run the benchmark over several seeds and report each metric's spread.
 
     python3 perfbench/spread.py --seeds 0-9 [--seconds N] \
-        [--workloads play-random-4000,verify-logs-2000] [--trace 0] \
+        [--workloads play-random-4000,verify-logs-2000] \
         [--out perfbench/out/spread.json]
 
-Each run is a fresh process, one after another.  For every workload and
-metric this prints the median, the quartiles (statistics.quantiles with
-n=4) and the spread (Q3 - Q1) / median, and flags a spread above a third
-of the metric's bound in BENCHMARK.json.  Exits 1 if any run fails or
-reports incorrect output.
+Each run is a fresh, untraced process, one after another.  For every
+workload and end-to-end metric this prints the median, the quartiles
+(statistics.quantiles with n=4) and the spread (Q3 - Q1) / median, and
+flags a spread above a third of the metric's bound in BENCHMARK.json.
+Stops with an error as soon as a run exits nonzero, which it does on
+incorrect output.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} exited "
+        raise RuntimeError(f"{workload} seed {seed} trace {trace} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -64,12 +65,11 @@ def machine() -> dict:
             "cpu": platform.processor() or platform.machine()}
 
 
-def summarize(values: list[float], bound: float | None) -> dict:
+def summarize(values: list[float], bound: float) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
-    spread = (q3 - q1) / median if median else float("inf")
+    spread = (q3 - q1) / median
     return {"median": median, "q1": q1, "q3": q3, "spread": spread,
-            "bound": bound, "values": values,
-            "steady": bound is None or spread < bound / 3}
+            "bound": bound, "values": values, "steady": spread < bound / 3}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,21 +79,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--workloads",
                         default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     report: dict = {"seeds": seeds, "seconds": args.seconds,
-                    "trace": args.trace, "machine": machine(),
-                    "workloads": {}}
-    ok = True
+                    "machine": machine(), "workloads": {}}
     for workload in args.workloads.split(","):
         results = []
         for seed in seeds:
-            result = run_once(workload, seed, args.seconds, args.trace)
-            ok &= result["correct"] and result["failed"] == 0
+            result = run_once(workload, seed, args.seconds, 0)
             results.append(result)
             print(f"{workload} seed={seed} ops={result['attempted']} "
                   f"failed={result['failed']} " + " ".join(
@@ -102,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics = {}
         for name in results[0]["metrics"]:
             values = [r["metrics"][name]["value"] for r in results]
-            metrics[name] = summarize(values, bounds.get(name))
+            metrics[name] = summarize(values, bounds[name])
             s = metrics[name]
             print(f"  {name}: median={s['median']:.6g} "
                   f"spread={s['spread']:.4f} bound={s['bound']}"
@@ -116,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":
