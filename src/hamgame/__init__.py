@@ -4,14 +4,13 @@ Simulator, two-phase Maker strategy, Breaker policy zoo, and an audit
 layer that checks the strategy's structural invariants while games run.
 """
 
-from .board import AuditLevel, Board, BoardError, GameConfig, new_game
+from .board import AuditLevel, Board, BoardError, GameConfig
 
 __all__ = [
     "AuditLevel",
     "Board",
     "BoardError",
     "GameConfig",
-    "new_game",
 ]
 
 __version__ = "0.1.0"

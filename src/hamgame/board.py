@@ -18,8 +18,6 @@ UNCLAIMED = 0
 MAKER = 1
 BREAKER = 2
 
-PLAYER_NAMES = {MAKER: "M", BREAKER: "B"}
-
 
 class AuditLevel(str, Enum):
     OFF = "off"
@@ -161,7 +159,9 @@ class Board:
     Ownership lives twice: a flat n*n byte matrix for O(1) membership and
     per-vertex bitmask rows (`maker_adj`, `breaker_adj`) for set algebra.
     `deg_le1_mask` keeps the vertices whose Maker degree is still <= 1
-    (the joinable-endpoint filter).
+    (the joinable-endpoint filter).  Every Breaker claim goes through
+    `claim_breaker_edges`, which also feeds `refresh_troublesome` the
+    vertices whose Breaker degree is above the trouble threshold.
     """
 
     __slots__ = (
@@ -200,33 +200,72 @@ class Board:
     def owner(self, u: int, v: int) -> int:
         return self.own[u * self.n + v]
 
+    def _check_free(self, u: int, v: int) -> int:
+        """Index of {u, v} in `own`; raises unless it is a free edge."""
+        n = self.n
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise BoardError(f"bad edge ({u}, {v})")
+        idx = u * n + v
+        if self.own[idx] != UNCLAIMED:
+            who = "Maker" if self.own[idx] == MAKER else "Breaker"
+            raise BoardError(f"edge ({u}, {v}) already claimed by {who}")
+        return idx
+
+    def claim_breaker_edges(self, edges) -> None:
+        """Claim every edge of `edges` for Breaker, in order.
+
+        Each edge gets the checks of `claim_edge`; an edge repeated within
+        the batch is already claimed when its second copy comes up.  On a
+        BoardError the edges before the bad one stay claimed, exactly as
+        if they had been claimed one call at a time.  A vertex enters the
+        refresh set only once its Breaker degree is above the trouble
+        threshold: degrees never drop, so no vertex at or below it can be
+        newly troublesome.
+        """
+        n = self.n
+        own = self.own
+        adj = self.breaker_adj
+        deg = self.breaker_deg
+        thr = self.cfg.trouble_threshold
+        touched = self._touched
+        claimed = 0
+        try:
+            for u, v in edges:
+                idx = u * n + v
+                if u == v or not (0 <= u < n and 0 <= v < n) or own[idx]:
+                    self._check_free(u, v)      # raises with the reason
+                own[idx] = BREAKER
+                own[v * n + u] = BREAKER
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                du = deg[u] + 1
+                deg[u] = du
+                dv = deg[v] + 1
+                deg[v] = dv
+                if du > thr:
+                    touched.add(u)
+                if dv > thr:
+                    touched.add(v)
+                claimed += 1
+        finally:
+            self.breaker_edges += claimed
+
     def claim_edge(self, tail: int, head: int, player: int) -> None:
         """Claim the edge {tail, head} for `player`.
 
-        For Maker the order (tail, head) is recorded as a directed edge
-        and the tail's out-degree counters move; `served` bumps when the
-        tail is troublesome at claim time, `out_calm` otherwise.
+        Breaker claims go through `claim_breaker_edges`.  For Maker the
+        order (tail, head) is recorded as a directed edge and the tail's
+        out-degree counters move; `served` bumps when the tail is
+        troublesome at claim time, `out_calm` otherwise.
         """
-        n = self.n
-        if tail == head or not (0 <= tail < n and 0 <= head < n):
-            raise BoardError(f"bad edge ({tail}, {head})")
-        idx = tail * n + head
-        if self.own[idx] != UNCLAIMED:
-            raise BoardError(
-                f"edge ({tail}, {head}) already owned by {self.own[idx]}"
-            )
-        self.own[idx] = player
-        self.own[head * n + tail] = player
-        tb, hb = 1 << tail, 1 << head
         if player == BREAKER:
-            self.breaker_adj[tail] |= hb
-            self.breaker_adj[head] |= tb
-            self.breaker_deg[tail] += 1
-            self.breaker_deg[head] += 1
-            self.breaker_edges += 1
-            self._touched.add(tail)
-            self._touched.add(head)
+            self.claim_breaker_edges(((tail, head),))
         elif player == MAKER:
+            n = self.n
+            idx = self._check_free(tail, head)
+            self.own[idx] = player
+            self.own[head * n + tail] = player
+            tb, hb = 1 << tail, 1 << head
             self.maker_adj[tail] |= hb
             self.maker_adj[head] |= tb
             self.maker_deg[tail] += 1
@@ -259,7 +298,9 @@ class Board:
 
         Strictly greater than the threshold; flags are monotone (never
         cleared) and onset records the turn of first crossing.  Returns
-        newly flagged vertices in increasing order.
+        newly flagged vertices in increasing order.  Only vertices that
+        Breaker claims reached above the threshold since the last call
+        are candidates (see `claim_breaker_edges`).
         """
         if not self._touched:
             return []
@@ -278,12 +319,11 @@ class Board:
     # -- invariant support -------------------------------------------------
 
     def recompute_counters(self) -> dict[str, list[int]]:
-        """Rebuild all degree counters from the ownership matrix.
+        """Rebuild the degree counters from the ownership matrix.
 
-        Used by the audit layer: the result must match the incrementally
-        maintained fields.  Directed counters are rebuilt from out_heads
-        plus the trouble onset ordering, so this is a genuine cross-check
-        of the bookkeeping, not a re-read of the same fields.
+        A test oracle: the result must match the incrementally maintained
+        fields.  Undirected degrees come from a scan of `own`, out-degrees
+        from the lengths of `out_heads`.
         """
         n = self.n
         bdeg = [0] * n
@@ -316,10 +356,6 @@ class Board:
             self.maker_edges,
             self.breaker_edges,
         )
-
-
-def new_game(cfg: GameConfig) -> Board:
-    return Board(cfg)
 
 
 def bits(mask: int):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import heapq
 import json
+from itertools import islice
+from math import isqrt
 from random import Random
 
-from .board import BREAKER, Board, bits
+from .board import Board, BoardError, bits
 from .rotation import endpoint_pairs_scan
 
 
@@ -27,16 +29,12 @@ class ReplayError(RuntimeError):
 def pair_from_index(n: int, t: int) -> tuple[int, int]:
     """Decode t in [0, C(n,2)) to the t-th pair (u, v), u < v, in
     lexicographic order."""
-    # cum(u) = number of pairs whose first element is < u
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * (2 * n - mid - 1) // 2 <= t:
-            lo = mid
-        else:
-            hi = mid - 1
-    u = lo
-    return u, u + 1 + (t - u * (2 * n - u - 1) // 2)
+    # Count from the end: r pairs follow t, and the m*(m+1)/2 pairs of
+    # the last m rows are those with first element > n-2-m.  Row u holds
+    # the pairs r in [m*(m+1)/2, (m+1)*(m+2)/2) for m = n-2-u.
+    r = n * (n - 1) // 2 - 1 - t
+    m = (isqrt(8 * r + 1) - 1) // 2
+    return n - 2 - m, n - 1 - r + m * (m + 1) // 2
 
 
 class BreakerPolicy:
@@ -59,12 +57,16 @@ class RandomBreaker(BreakerPolicy):
                   maker=None) -> list[tuple[int, int]]:
         n = board.n
         total = n * (n - 1) // 2
+        own = board.own
+        randrange = rng.randrange
         out: list[tuple[int, int]] = []
+        picked: set[int] = set()        # own[] offsets drawn this turn
         misses = 0
         while len(out) < k:
-            u, v = pair_from_index(n, rng.randrange(total))
-            if board.owner(u, v) == 0:
-                board.claim_edge(u, v, BREAKER)
+            u, v = pair_from_index(n, randrange(total))
+            idx = u * n + v
+            if not own[idx] and idx not in picked:
+                picked.add(idx)
                 out.append((u, v))
                 misses = 0
             else:
@@ -72,15 +74,16 @@ class RandomBreaker(BreakerPolicy):
                 if misses > 64:
                     # Board nearly full: enumerate what is left instead of
                     # grinding the rejection loop.
+                    board.claim_breaker_edges(out)
                     rest = [
                         (a, c) for a in range(n) for c in bits(
                             ~(board.maker_adj[a] | board.breaker_adj[a])
                             & board.full_mask & ~((1 << (a + 1)) - 1))
                     ]
-                    for a, c in rng.sample(rest, k - len(out)):
-                        board.claim_edge(a, c, BREAKER)
-                        out.append((a, c))
-                    break
+                    tail = rng.sample(rest, k - len(out))
+                    board.claim_breaker_edges(tail)
+                    return out + tail
+        board.claim_breaker_edges(out)
         return out
 
 
@@ -128,11 +131,9 @@ class IsolatorBreaker(BreakerPolicy):
             if not free:
                 self.target = None
                 continue
-            for w in bits(free):
-                board.claim_edge(t, w, BREAKER)
-                out.append((t, w))
-                if len(out) == k:
-                    break
+            star = [(t, w) for w in islice(bits(free), k - len(out))]
+            board.claim_breaker_edges(star)
+            out.extend(star)
         return out
 
 
@@ -202,11 +203,9 @@ class MaxDangerBreaker(BreakerPolicy):
                 break
             free = (~(board.maker_adj[v] | board.breaker_adj[v])
                     & board.full_mask & ~(1 << v))
-            while free and len(out) < k:
-                w = (free & -free).bit_length() - 1
-                board.claim_edge(v, w, BREAKER)
-                out.append((v, w))
-                free &= free - 1
+            star = [(v, w) for w in islice(bits(free), k - len(out))]
+            board.claim_breaker_edges(star)
+            out.extend(star)
             heapq.heappush(self.heap, (-board.breaker_deg[v], v))
         return out
 
@@ -246,12 +245,11 @@ class PairKillerBreaker(BreakerPolicy):
         out: list[tuple[int, int]] = []
         if maker is not None and maker.phase == 2 and maker.tracked is not None:
             self._refresh(board, maker)
-            for u, v in self._pairs:
-                if len(out) == k:
-                    break
-                if board.owner(u, v) == 0:
-                    board.claim_edge(u, v, BREAKER)
-                    out.append((u, v))
+            # The pairs are distinct and normalised (u < v), so the board
+            # check alone skips every pair already taken.
+            out = list(islice(
+                (p for p in self._pairs if not board.owner(*p)), k))
+            board.claim_breaker_edges(out)
         if len(out) < k:
             out.extend(self.fallback.take_turn(board, rng, k - len(out)))
         return out
@@ -291,14 +289,11 @@ class ScriptedBreaker(BreakerPolicy):
             raise ReplayError(board.turn, "script exhausted")
         moves = self.turns[self.cursor]
         self.cursor += 1
-        out: list[tuple[int, int]] = []
-        for u, v in moves:
-            if board.owner(u, v) != 0:
-                raise ReplayError(
-                    board.turn, f"scripted edge ({u}, {v}) already claimed")
-            board.claim_edge(u, v, BREAKER)
-            out.append((u, v))
-        return out
+        try:
+            board.claim_breaker_edges(moves)
+        except BoardError as err:
+            raise ReplayError(board.turn, f"scripted {err}") from None
+        return list(moves)
 
 
 POLICIES: dict[str, type] = {

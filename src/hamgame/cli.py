@@ -135,10 +135,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from .gamelog import apply_log, board_fingerprint
+    from .gamelog import LogReplayError, apply_log, board_fingerprint
 
     log = GameLog.load(args.log)
-    board = apply_log(log)
+    try:
+        board = apply_log(log)
+    except LogReplayError as err:
+        print(f"INVALID log: {err}")
+        return 1
     fp = board_fingerprint(board)
     want = (log.end or {}).get("fingerprint")
     if want is None:

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .board import Board, GameConfig, MAKER, BREAKER, AuditLevel
+from .board import Board, BoardError, GameConfig, MAKER, AuditLevel
 
 
 @dataclass
@@ -129,23 +129,30 @@ def apply_log(log: GameLog) -> Board:
 
     Recomputes the troublesome promotions after each Breaker record and
     insists they match what was logged; this makes the log a replayable
-    witness rather than a transcript taken on faith.
+    witness rather than a transcript taken on faith.  An illegal claim
+    (bad, duplicate or already owned edge) is a LogReplayError naming
+    the turn.
     """
     cfg = config_from_meta(log.meta)
     board = Board(cfg)
     for rec in log.records:
         board.turn = rec.turn
         if rec.player == "B":
-            for u, v in rec.edges:
-                board.claim_edge(u, v, BREAKER)
+            try:
+                board.claim_breaker_edges(rec.edges)
+            except BoardError as err:
+                raise LogReplayError(rec.turn, f"Breaker {err}") from None
             fresh = board.refresh_troublesome()
             if fresh != sorted(rec.promoted):
                 raise LogReplayError(
                     rec.turn,
                     f"promotions {fresh} != logged {sorted(rec.promoted)}")
         elif rec.player == "M":
-            for u, v in rec.edges:
-                board.claim_edge(u, v, MAKER)
+            try:
+                for u, v in rec.edges:
+                    board.claim_edge(u, v, MAKER)
+            except BoardError as err:
+                raise LogReplayError(rec.turn, f"Maker {err}") from None
         else:
             raise LogReplayError(rec.turn, f"bad player {rec.player!r}")
     return board

@@ -207,24 +207,98 @@ class TestBitHelpers:
             assert kth_set_bit(mask, k) == want
 
 
+class TestBulkClaims:
+    def test_batch_claims_every_edge_in_order(self):
+        board = Board(small_cfg())
+        board.claim_breaker_edges([(0, 1), (5, 2), (1, 2)])
+        assert [board.owner(u, v) for u, v in ((1, 0), (2, 5), (2, 1))] \
+            == [BREAKER] * 3
+        assert board.breaker_deg[:6] == [1, 2, 2, 0, 0, 1]
+        assert board.breaker_adj[2] == (1 << 1) | (1 << 5)
+        assert board.breaker_edges == 3
+
+    @pytest.mark.parametrize("bad, reason", [
+        ((4, 4), "bad edge"),
+        ((3, 12), "bad edge"),
+        ((-1, 3), "bad edge"),
+        ((6, 7), "already claimed by Maker"),
+        ((1, 0), "already claimed by Breaker"),     # claimed earlier
+        ((9, 8), "already claimed by Breaker"),     # repeated in the batch
+    ])
+    def test_bad_edge_raises_and_keeps_the_edges_before_it(self, bad, reason):
+        board = Board(small_cfg())
+        board.claim_edge(6, 7, MAKER)
+        board.claim_edge(0, 1, BREAKER)
+        with pytest.raises(BoardError, match=reason):
+            board.claim_breaker_edges([(8, 9), bad, (2, 3)])
+        assert board.owner(8, 9) == BREAKER
+        assert board.owner(2, 3) == 0
+        assert board.breaker_edges == 2
+        assert board.recompute_counters()["breaker_deg"] == board.breaker_deg
+
+    def test_bad_player_raises(self):
+        board = Board(small_cfg())
+        with pytest.raises(BoardError, match="bad player"):
+            board.claim_edge(0, 1, 3)
+        assert board.owner(0, 1) == 0
+
+    def test_refresh_sees_every_vertex_above_the_threshold(self):
+        board = Board(small_cfg(thr=2.5))
+        board.claim_breaker_edges([(0, 1), (0, 2), (3, 1)])
+        assert board.refresh_troublesome() == []
+        board.claim_breaker_edges([(4, 1), (0, 5), (0, 6)])
+        assert board.refresh_troublesome() == [0, 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
-    st.tuples(st.integers(0, 13), st.integers(0, 13), st.booleans()),
+    st.tuples(st.integers(0, 13), st.integers(0, 13),
+              st.sampled_from(("maker", "batch", "single")), st.booleans()),
     max_size=60))
 def test_random_claim_sequences_keep_counters_exact(moves):
-    board = Board(GameConfig(n=14, b=3, trouble_threshold=3.0,
-                             quota=2, hub_size=4, max_turns=56))
-    for turn, (u, v, maker) in enumerate(moves, 1):
-        if u == v or board.owner(u, v):
+    """Breaker edges fed through bulk batches mixed with single claim_edge
+    calls leave the board exactly as one claim_edge call per edge."""
+    cfg = GameConfig(n=14, b=3, trouble_threshold=3.0,
+                     quota=2, hub_size=4, max_turns=56)
+    single, bulk = Board(cfg), Board(cfg)
+    batch: list[tuple[int, int]] = []
+    taken: set[frozenset] = set()
+
+    def end_turn(turn):
+        bulk.claim_breaker_edges(batch)
+        batch.clear()
+        single.turn = bulk.turn = turn
+        assert single.refresh_troublesome() == bulk.refresh_troublesome()
+
+    turn = 1
+    for u, v, how, turn_ends in moves:
+        if u == v or frozenset((u, v)) in taken:
             continue
-        board.turn = turn
-        board.claim_edge(u, v, MAKER if maker else BREAKER)
-        board.refresh_troublesome()
-    re = board.recompute_counters()
-    assert re["breaker_deg"] == board.breaker_deg
-    assert re["maker_deg"] == board.maker_deg
-    assert re["out_deg"] == board.out_deg
-    for v in range(14):
-        assert board.out_calm[v] + board.served[v] == board.out_deg[v]
-        if board.troublesome[v]:
-            assert board.breaker_deg[v] > 3.0
+        taken.add(frozenset((u, v)))
+        if how == "maker":
+            bulk.claim_breaker_edges(batch)
+            batch.clear()
+            single.claim_edge(u, v, MAKER)
+            bulk.claim_edge(u, v, MAKER)
+        else:
+            single.claim_edge(u, v, BREAKER)
+            if how == "batch":
+                batch.append((u, v))
+            else:
+                bulk.claim_breaker_edges(batch)
+                batch.clear()
+                bulk.claim_edge(u, v, BREAKER)
+        if turn_ends:
+            end_turn(turn)
+            turn += 1
+    end_turn(turn)
+    assert bulk.fingerprint_fields() == single.fingerprint_fields()
+    for board in (single, bulk):
+        re = board.recompute_counters()
+        assert re["breaker_deg"] == board.breaker_deg
+        assert re["maker_deg"] == board.maker_deg
+        assert re["out_deg"] == board.out_deg
+        assert board.breaker_edges + board.maker_edges == len(taken)
+        for v in range(14):
+            assert board.out_calm[v] + board.served[v] == board.out_deg[v]
+            assert board.troublesome[v] == (board.breaker_deg[v] > 3.0)

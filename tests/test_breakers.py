@@ -27,11 +27,26 @@ def fresh_board(n=10, b=3, thr=5.0, quota=2, hub_size=3):
 
 
 class TestPairIndex:
-    @pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
+    @pytest.mark.parametrize("n", range(2, 65))
     def test_decodes_every_index_in_lex_order(self, n):
         want = list(combinations(range(n), 2))
         got = [pair_from_index(n, t) for t in range(n * (n - 1) // 2)]
         assert got == want
+
+    @pytest.mark.parametrize("n", [4000, 20000])
+    def test_large_n_ends_and_row_boundaries(self, n):
+        total = n * (n - 1) // 2
+        head = [(0, v) for v in range(1, 1001)]
+        assert [pair_from_index(n, t) for t in range(1000)] == head
+        tail = [(u, v) for u in range(n - 50, n) for v in range(u + 1, n)]
+        assert [pair_from_index(n, t)
+                for t in range(total - 1000, total)] == tail[-1000:]
+        start = 0                       # index of (u, u+1), by running sum
+        for u in range(n - 1):
+            assert pair_from_index(n, start) == (u, u + 1)
+            start += n - 1 - u
+            assert pair_from_index(n, start - 1) == (u, n - 1)
+        assert start == total
 
 
 class TestRandomBreaker:
@@ -185,6 +200,14 @@ class TestScripted:
         pol = ScriptedBreaker([[(0, 1)]])
         with pytest.raises(ReplayError, match=r"\(0, 1\) already claimed"):
             pol.take_turn(board, Random(0), 1)
+
+    def test_edge_repeated_within_a_turn_raises(self):
+        board = fresh_board()
+        board.turn = 3
+        pol = ScriptedBreaker([[(2, 3), (4, 5), (3, 2)]])
+        with pytest.raises(ReplayError,
+                           match=r"turn 3: .*\(3, 2\) already claimed"):
+            pol.take_turn(board, Random(0), 3)
 
     def test_from_file_keeps_original_policy_name(self, tmp_path):
         log = tmp_path / "game.log"

@@ -53,6 +53,19 @@ class TestReplayCommand:
         assert run_cli("replay", str(saved)) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_duplicate_breaker_edge_is_a_clear_error(self, saved, capsys):
+        lines = saved.read_text().splitlines()
+        rec = json.loads(lines[1])
+        assert rec["player"] == "B" and rec["turn"] == 1
+        rec["edges"].append(rec["edges"][0][::-1])
+        lines[1] = json.dumps(rec)
+        saved.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("replay", str(saved)) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID log: turn 1: Breaker edge")
+        assert "already claimed by Breaker" in out
+
 
 class TestAuditCommand:
     def test_winning_log_passes(self, tmp_path, capsys):

@@ -1,0 +1,86 @@
+"""Golden games: a seed maps to the same log bytes across versions.
+
+Replay tests only show that one version agrees with itself.  These
+digests pin the full log of small seeded games, so a change that claims
+to keep games byte-identical is checked against the games earlier
+versions played.  A deliberate change to how seeds map to games must
+update the digests in the same change and say so in CHANGES.md.
+"""
+
+import hashlib
+from random import Random
+
+import pytest
+
+from hamgame import runner
+from hamgame.board import GameConfig
+from hamgame.runner import run_game
+
+GOLDEN = {
+    ("random", 200, 0):
+        "d2cfdad6eb8130d69c6e3cca1313c6a0374ff6b89a63828b3675c0ae3bb21957",
+    ("random", 200, 1):
+        "c3e72bb1488995c6dade51a06b7ecd278e32c6b014e7a12e29135fe8f2010639",
+    ("random", 300, 0):
+        "288eb65a5bb2d2fa6e38de79b04548af82dddd52bf02f4f151f6c6782d432f3e",
+    ("random", 300, 1):
+        "d20f38b20c46ed895f14b5f718eccbcd8f5f9f3caece1042cf1e59be069bd07f",
+    ("pairkiller", 200, 0):
+        "0982d00883ab81c46b4219d3c6b2a487b25ff2cafc1c9852fad0af8926ecde9b",
+    ("pairkiller", 200, 1):
+        "b34b0a08c171573c17e35bfb2663e69c5dd456e102c088c99986c8bd9c2d707c",
+    ("pairkiller", 300, 0):
+        "4c563ca89fea94c1682cf690c299f3612edc8f45427c9ae0f3900746b5e45e3c",
+    ("pairkiller", 300, 1):
+        "520cbcff8a7328bcc5d2d7140659c387a8767240c3f3138da041873aae9903aa",
+    ("maxdanger", 200, 0):
+        "333f3a5aadda325c906a36fd8de6b5daa827eecc10f7e0a4711823122350588d",
+    ("maxdanger", 200, 1):
+        "ff70a37c65820d3f331ac136826b389059dfd267bea1c5498a2d0e9b0fe8f637",
+    ("maxdanger", 300, 0):
+        "cd0d9b19915947279d51b300b4d304030d3894a6bcf1297b49b2f57917af5922",
+    ("maxdanger", 300, 1):
+        "9c28d4281a8718732e5216c7f05566deea77d9a2535a518d7bc0fd5a19c3e9cc",
+}
+
+# n = 12 with b = 10 fills the board within a few turns, so the random
+# Breaker's rejection loop gives up and samples from the enumerated rest.
+FALLBACK_GAME = (12, 10, 0)
+FALLBACK_DIGEST = \
+    "76184792e67c388a409db298a23ff2e5aa8eccd18e5e502714d62757b6a26327"
+
+
+def log_digest(cfg: GameConfig, policy: str) -> str:
+    text = run_game(cfg, policy).log.dumps()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("policy, n, seed", list(GOLDEN))
+def test_seed_plays_the_pinned_game(policy, n, seed):
+    cfg = GameConfig.scaled(n, seed=seed, audit_level="off")
+    assert log_digest(cfg, policy) == GOLDEN[policy, n, seed]
+
+
+def test_enumeration_fallback_fires_and_is_pinned(monkeypatch):
+    sampled: list[int] = []
+
+    class SpyRandom(Random):
+        def sample(self, population, k, **kwargs):
+            sampled.append(k)
+            return super().sample(population, k, **kwargs)
+
+    game_rng = runner.game_rng
+
+    def spy_game_rng(cfg, role):
+        rng = game_rng(cfg, role)
+        if role != "breaker":
+            return rng
+        spy = SpyRandom()
+        spy.setstate(rng.getstate())
+        return spy
+
+    monkeypatch.setattr(runner, "game_rng", spy_game_rng)
+    n, b, seed = FALLBACK_GAME
+    cfg = GameConfig.scaled(n, b=b, seed=seed, audit_level="off")
+    assert log_digest(cfg, "random") == FALLBACK_DIGEST
+    assert sampled, "the >64-miss fallback never ran"

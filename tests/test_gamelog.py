@@ -125,6 +125,23 @@ class TestApplyLog:
         with pytest.raises(LogReplayError, match=r"\[\] != logged \[5\]"):
             apply_log(log)
 
+    @pytest.mark.parametrize("index, record, reason", [
+        (2, MoveRecord(2, "B", [(0, 3), (1, 0)], promoted=[0]),
+         r"turn 2: Breaker edge \(1, 0\) already claimed by Breaker"),
+        (2, MoveRecord(2, "B", [(0, 3), (3, 0)], promoted=[0]),
+         r"turn 2: Breaker edge \(3, 0\) already claimed by Breaker"),
+        (2, MoveRecord(2, "B", [(6, 5)]),
+         r"turn 2: Breaker edge \(6, 5\) already claimed by Maker"),
+        (2, MoveRecord(2, "B", [(0, 10)]), r"turn 2: Breaker bad edge"),
+        (3, MoveRecord(2, "M", [(0, 2)], case="P1.C2"),
+         r"turn 2: Maker edge \(0, 2\) already claimed by Breaker"),
+    ])
+    def test_illegal_claim_names_the_turn(self, index, record, reason):
+        log = sample_log()
+        log.records[index] = record
+        with pytest.raises(LogReplayError, match=reason):
+            apply_log(log)
+
     def test_bad_player_tag_is_rejected(self):
         log = sample_log()
         log.records.append(MoveRecord(3, "X", []))
