@@ -3,9 +3,9 @@
 Breaker claims up to `b` edges per turn and moves first; Maker claims
 exactly one directed edge per turn (direction is bookkeeping; ownership
 is undirected).  The board tracks per-vertex degree counters, the
-trouble flags Maker's strategy keys on, and enough adjacency structure
-(byte matrix + bitmask rows) for the strategy and audit layers to run
-fast.
+trouble flags Maker's strategy keys on, and one bitmask row per vertex
+and player, the only record of who owns which edge, so the strategy and
+audit layers can do set algebra on neighbourhoods.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ class GameConfig:
 class Board:
     """Mutable game state: ownership, degrees, trouble flags.
 
-    Ownership lives twice: a flat n*n byte matrix for O(1) membership and
-    per-vertex bitmask rows (`maker_adj`, `breaker_adj`) for set algebra.
+    Ownership lives once, in per-vertex bitmask rows: bit v of
+    `maker_adj[u]` (`breaker_adj[u]`) is set iff Maker (Breaker) owns
+    {u, v}, and the rows are symmetric.  `owner` reads them.
     `deg_le1_mask` keeps the vertices whose Maker degree is still <= 1
     (the joinable-endpoint filter).  Every Breaker claim goes through
     `claim_breaker_edges`, which also feeds `refresh_troublesome` the
@@ -165,7 +166,7 @@ class Board:
     """
 
     __slots__ = (
-        "cfg", "n", "own", "maker_adj", "breaker_adj", "out_heads",
+        "cfg", "n", "maker_adj", "breaker_adj", "out_heads",
         "breaker_deg", "maker_deg", "out_deg", "out_calm", "served",
         "troublesome", "trouble_onset", "turn", "mover",
         "maker_edges", "breaker_edges", "deg_le1_mask", "_touched",
@@ -176,7 +177,6 @@ class Board:
         n = cfg.n
         self.cfg = cfg
         self.n = n
-        self.own = bytearray(n * n)
         self.maker_adj = [0] * n
         self.breaker_adj = [0] * n
         self.out_heads: list[list[int]] = [[] for _ in range(n)]
@@ -198,18 +198,21 @@ class Board:
     # -- claims ---------------------------------------------------------
 
     def owner(self, u: int, v: int) -> int:
-        return self.own[u * self.n + v]
+        if self.maker_adj[u] >> v & 1:
+            return MAKER
+        if self.breaker_adj[u] >> v & 1:
+            return BREAKER
+        return UNCLAIMED
 
-    def _check_free(self, u: int, v: int) -> int:
-        """Index of {u, v} in `own`; raises unless it is a free edge."""
+    def _check_free(self, u: int, v: int) -> None:
+        """Raise unless {u, v} is a free edge."""
         n = self.n
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise BoardError(f"bad edge ({u}, {v})")
-        idx = u * n + v
-        if self.own[idx] != UNCLAIMED:
-            who = "Maker" if self.own[idx] == MAKER else "Breaker"
+        who = self.owner(u, v)
+        if who != UNCLAIMED:
+            who = "Maker" if who == MAKER else "Breaker"
             raise BoardError(f"edge ({u}, {v}) already claimed by {who}")
-        return idx
 
     def claim_breaker_edges(self, edges) -> None:
         """Claim every edge of `edges` for Breaker, in order.
@@ -223,19 +226,17 @@ class Board:
         newly troublesome.
         """
         n = self.n
-        own = self.own
         adj = self.breaker_adj
+        madj = self.maker_adj
         deg = self.breaker_deg
         thr = self.cfg.trouble_threshold
         touched = self._touched
         claimed = 0
         try:
             for u, v in edges:
-                idx = u * n + v
-                if u == v or not (0 <= u < n and 0 <= v < n) or own[idx]:
+                if u == v or not (0 <= u < n and 0 <= v < n) \
+                        or (adj[u] | madj[u]) >> v & 1:
                     self._check_free(u, v)      # raises with the reason
-                own[idx] = BREAKER
-                own[v * n + u] = BREAKER
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 du = deg[u] + 1
@@ -261,10 +262,7 @@ class Board:
         if player == BREAKER:
             self.claim_breaker_edges(((tail, head),))
         elif player == MAKER:
-            n = self.n
-            idx = self._check_free(tail, head)
-            self.own[idx] = player
-            self.own[head * n + tail] = player
+            self._check_free(tail, head)
             tb, hb = 1 << tail, 1 << head
             self.maker_adj[tail] |= hb
             self.maker_adj[head] |= tb
@@ -319,32 +317,25 @@ class Board:
     # -- invariant support -------------------------------------------------
 
     def recompute_counters(self) -> dict[str, list[int]]:
-        """Rebuild the degree counters from the ownership matrix.
+        """Rebuild the degree counters from the ownership rows.
 
-        A test oracle: the result must match the incrementally maintained
-        fields.  Undirected degrees come from a scan of `own`, out-degrees
-        from the lengths of `out_heads`.
+        The result must match the incrementally maintained fields; the
+        runner's invariant monitor compares them at every deep check.
+        Undirected degrees are popcounts of the rows, out-degrees the
+        lengths of `out_heads`.
         """
-        n = self.n
-        bdeg = [0] * n
-        mdeg = [0] * n
-        for u in range(n):
-            row = u * n
-            for v in range(u + 1, n):
-                o = self.own[row + v]
-                if o == BREAKER:
-                    bdeg[u] += 1
-                    bdeg[v] += 1
-                elif o == MAKER:
-                    mdeg[u] += 1
-                    mdeg[v] += 1
-        out = [len(h) for h in self.out_heads]
-        return {"breaker_deg": bdeg, "maker_deg": mdeg, "out_deg": out}
+        return {
+            "breaker_deg": [row.bit_count() for row in self.breaker_adj],
+            "maker_deg": [row.bit_count() for row in self.maker_adj],
+            "out_deg": [len(h) for h in self.out_heads],
+        }
 
     def fingerprint_fields(self) -> tuple:
-        """Everything replay equality is judged on."""
+        """Everything replay equality is judged on: the Maker and Breaker
+        rows, then the counters and flags."""
         return (
-            bytes(self.own),
+            tuple(self.maker_adj),
+            tuple(self.breaker_adj),
             tuple(self.breaker_deg),
             tuple(self.maker_deg),
             tuple(self.out_deg),

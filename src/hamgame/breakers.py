@@ -57,16 +57,17 @@ class RandomBreaker(BreakerPolicy):
                   maker=None) -> list[tuple[int, int]]:
         n = board.n
         total = n * (n - 1) // 2
-        own = board.own
+        maker_adj = board.maker_adj
+        breaker_adj = board.breaker_adj
         randrange = rng.randrange
         out: list[tuple[int, int]] = []
-        picked: set[int] = set()        # own[] offsets drawn this turn
+        picked: set[int] = set()        # pair indices drawn this turn
         misses = 0
         while len(out) < k:
-            u, v = pair_from_index(n, randrange(total))
-            idx = u * n + v
-            if not own[idx] and idx not in picked:
-                picked.add(idx)
+            t = randrange(total)
+            u, v = pair_from_index(n, t)
+            if not (t in picked or (breaker_adj[u] | maker_adj[u]) >> v & 1):
+                picked.add(t)
                 out.append((u, v))
                 misses = 0
             else:

@@ -12,7 +12,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .board import Board, BoardError, GameConfig, MAKER, AuditLevel
+import numpy as np
+
+from .board import BREAKER, MAKER, AuditLevel, Board, BoardError, GameConfig
 
 
 @dataclass
@@ -68,9 +70,36 @@ def config_from_meta(meta: dict) -> GameConfig:
     )
 
 
+FINGERPRINT_CHUNK_ROWS = 64
+
+
 def board_fingerprint(board: Board) -> str:
-    h = hashlib.sha256()
-    for part in board.fingerprint_fields():
+    """sha256 over the repr of every fingerprint field, each followed by
+    a "|".
+
+    The ownership rows are hashed as the repr of the n*n byte matrix that
+    older versions of the board stored (cell u*n+v holds owner(u, v)),
+    so the fingerprints in logs saved by those versions still match on
+    replay.  That repr is streamed a few rows at a time, never built
+    whole.
+    """
+    maker_rows, breaker_rows, *rest = board.fingerprint_fields()
+    n = len(maker_rows)
+    width = (n + 7) // 8
+
+    def cells(rows):
+        buf = b"".join(row.to_bytes(width, "little") for row in rows)
+        bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
+        return bits.reshape(len(rows), 8 * width)[:, :n]
+
+    h = hashlib.sha256(b"b'")
+    for lo in range(0, n, FINGERPRINT_CHUNK_ROWS):
+        hi = lo + FINGERPRINT_CHUNK_ROWS
+        chunk = (MAKER * cells(maker_rows[lo:hi])
+                 + BREAKER * cells(breaker_rows[lo:hi]))
+        h.update(repr(chunk.tobytes())[2:-1].encode())
+    h.update(b"'|")
+    for part in rest:
         h.update(repr(part).encode())
         h.update(b"|")
     return h.hexdigest()

@@ -261,7 +261,3 @@ class PathSystem:
         if self.sorted_ids != sorted(self.ends):
             problems.append("sorted_ids stale")
         return problems
-
-
-def init_path_system(board: Board, settled: set[int]) -> PathSystem:
-    return PathSystem(board.n, settled)

@@ -77,10 +77,6 @@ class RotationClosure:
         self.truncated = False
         self._witness: dict[int, np.ndarray] = {}
 
-    def witness_order(self, w: int) -> np.ndarray:
-        """Witness path array from the fixed end to w."""
-        return self._witness[w]
-
     def witness_path(self, w: int) -> list[int]:
         return [int(x) for x in self._witness[w]]
 

@@ -21,7 +21,7 @@ from .board import Board, GameConfig, AuditLevel, bits
 from .breakers import BreakerPolicy, make_policy
 from .gamelog import GameLog, MoveRecord, board_fingerprint, config_meta
 from .maker import MakerStrategy
-from .paths import PathSystem, init_path_system
+from .paths import PathSystem
 
 MAKER_WIN = "MakerWin"
 STRATEGY_FAILURE = "StrategyFailure"
@@ -49,7 +49,8 @@ class InvariantMonitor:
     """Online checks of the strategy-execution invariants.
 
     Everything here is O(1) or amortized-cheap per turn; structural
-    deep checks run at the phase flip, periodically, and at game end.
+    deep checks (the path partition, and the degree counters against the
+    ownership rows) run at the phase flip, periodically, and at game end.
     Violations are recorded with the turn index, never raised.
     """
 
@@ -128,6 +129,14 @@ class InvariantMonitor:
     def deep_check(self, turn: int) -> None:
         for problem in self.ps.deep_check():
             self._fail(turn, f"partition: {problem}")
+        board = self.board
+        for name, want in board.recompute_counters().items():
+            have = getattr(board, name)
+            if have != want:
+                v = next(v for v, (a, c) in enumerate(zip(have, want))
+                         if a != c)
+                self._fail(turn, f"counter {name}[{v}] = {have[v]}, "
+                                 f"recount gives {want[v]}")
 
 
 def game_rng(cfg: GameConfig, role: str) -> Random:
@@ -137,7 +146,7 @@ def game_rng(cfg: GameConfig, role: str) -> Random:
 def run_game(cfg: GameConfig, breaker: str | BreakerPolicy = "random",
              script_path: str | None = None) -> GameResult:
     board = Board(cfg)
-    ps = init_path_system(board, set(cfg.hub_vertices()))
+    ps = PathSystem(cfg.n, set(cfg.hub_vertices()))
     maker = MakerStrategy(cfg, board, ps, game_rng(cfg, "maker"))
     policy = breaker if isinstance(breaker, BreakerPolicy) \
         else make_policy(breaker, script_path)
@@ -374,9 +383,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "sweep.csv"), "w",
                   encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+            fh.write(rows_to_csv(rows))
         with open(os.path.join(out_dir, "manifest.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(spec.manifest(), fh, indent=2, sort_keys=True)

@@ -8,6 +8,7 @@ point is an independent route to the same answers.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from itertools import combinations
 
@@ -162,3 +163,16 @@ def random_maker_graph(rng, n: int, extra_edges: int):
         adj[a].add(b)
         adj[b].add(a)
     return adj, tuple(base)
+
+
+def board_fingerprint_reference(board) -> str:
+    """The fingerprint as first defined: sha256 over the repr of the full
+    n*n ownership byte matrix (cell u*n+v holds owner(u, v)), then the
+    repr of every counter field, each part followed by a "|"."""
+    n = board.n
+    matrix = bytes(board.owner(u, v) for u in range(n) for v in range(n))
+    h = hashlib.sha256()
+    for part in (matrix, *board.fingerprint_fields()[2:]):
+        h.update(repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()

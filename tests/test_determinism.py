@@ -41,7 +41,17 @@ GOLDEN = {
         "cd0d9b19915947279d51b300b4d304030d3894a6bcf1297b49b2f57917af5922",
     ("maxdanger", 300, 1):
         "9c28d4281a8718732e5216c7f05566deea77d9a2535a518d7bc0fd5a19c3e9cc",
+    ("isolator", 200, 0):
+        "5e3b43f254b1c10448e5a3603881c81b2c00b75e2eda969c84672a6c9d6618d6",
+    ("isolator", 200, 1):
+        "a3eabd26e49f4f393e035504256430e7a872bc9f0a453b860fa40fea3bd109fa",
 }
+
+# With audits on, the log's end record carries the live audit's figures,
+# and a won game carries its cycle certificate.
+AUDITED_GAME = ("random", 200, 0)
+AUDITED_DIGEST = \
+    "507a9600f6cd9951637ed03c71c9caffb19fc65467794a7c1e64030f23afb038"
 
 # n = 12 with b = 10 fills the board within a few turns, so the random
 # Breaker's rejection loop gives up and samples from the enumerated rest.
@@ -59,6 +69,12 @@ def log_digest(cfg: GameConfig, policy: str) -> str:
 def test_seed_plays_the_pinned_game(policy, n, seed):
     cfg = GameConfig.scaled(n, seed=seed, audit_level="off")
     assert log_digest(cfg, policy) == GOLDEN[policy, n, seed]
+
+
+def test_audited_game_is_pinned():
+    policy, n, seed = AUDITED_GAME
+    cfg = GameConfig.scaled(n, seed=seed, audit_level="cheap")
+    assert log_digest(cfg, policy) == AUDITED_DIGEST
 
 
 def test_enumeration_fallback_fires_and_is_pinned(monkeypatch):

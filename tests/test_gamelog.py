@@ -1,9 +1,12 @@
 """Log serialization, config meta round trip, replay verification."""
 
+import random
+
 import pytest
 
 from hamgame.board import BREAKER, MAKER, AuditLevel, Board, GameConfig
 from hamgame.gamelog import (
+    FINGERPRINT_CHUNK_ROWS,
     GameLog,
     LogReplayError,
     MoveRecord,
@@ -12,6 +15,7 @@ from hamgame.gamelog import (
     config_from_meta,
     config_meta,
 )
+from oracles import board_fingerprint_reference
 
 
 def small_cfg(**kw):
@@ -164,3 +168,20 @@ class TestFingerprint:
             bd.claim_edge(1, 2, BREAKER)
             bd.claim_edge(4, 5, MAKER)
         assert board_fingerprint(a) == board_fingerprint(b)
+
+    @pytest.mark.parametrize("n", [
+        5, 13, 64, FINGERPRINT_CHUNK_ROWS + 1, 2 * FINGERPRINT_CHUNK_ROWS + 13,
+    ])
+    def test_matches_the_byte_matrix_reference(self, n):
+        rng = random.Random(n)
+        board = Board(small_cfg(n=n, hub_size=2, max_turns=8 * n,
+                                trouble_threshold=n / 2))
+        assert board_fingerprint(board) == board_fingerprint_reference(board)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        for u, v in pairs[:len(pairs) // 10]:
+            board.claim_edge(*rng.sample((u, v), 2), MAKER)
+        board.claim_breaker_edges(pairs[len(pairs) // 10:len(pairs) // 2])
+        board.turn = 7
+        board.refresh_troublesome()
+        assert board_fingerprint(board) == board_fingerprint_reference(board)

@@ -4,7 +4,7 @@ from random import Random
 
 from hamgame.board import BREAKER, MAKER, UNCLAIMED, Board, GameConfig, bits
 from hamgame.maker import MakerStrategy
-from hamgame.paths import init_path_system
+from hamgame.paths import PathSystem
 from hamgame.rotation import TrackedPath
 
 
@@ -14,7 +14,7 @@ def make_game(n=12, b=2, thr=2.0, quota=2, hub_size=6, seed=5, **kw):
     cfg = GameConfig(n=n, b=b, trouble_threshold=thr, quota=quota,
                      hub_size=hub_size, seed=seed, **kw)
     board = Board(cfg)
-    ps = init_path_system(board, set(cfg.hub_vertices()))
+    ps = PathSystem(board.n, set(cfg.hub_vertices()))
     maker = MakerStrategy(cfg, board, ps, Random(seed))
     return cfg, board, ps, maker
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamgame.board import BREAKER, MAKER, Board, GameConfig
-from hamgame.paths import PathSystem, PathSystemError, init_path_system
+from hamgame.paths import PathSystem, PathSystemError
 
 
 def fresh(n=10, settled=(8, 9)):
@@ -140,7 +140,7 @@ class TestJoinablePair:
 def test_init_path_system_matches_board():
     board = Board(GameConfig(n=8, b=1, trouble_threshold=4.0,
                              quota=2, hub_size=3, max_turns=32))
-    ps = init_path_system(board, set(board.cfg.hub_vertices()))
+    ps = PathSystem(board.n, set(board.cfg.hub_vertices()))
     assert ps.settled == {5, 6, 7}
     assert ps.path_count() == 5
 

@@ -8,9 +8,10 @@ import pytest
 
 from hamgame import runner as runner_mod
 from hamgame.board import Board, GameConfig, MAKER, BREAKER
+from hamgame.breakers import RandomBreaker
 from hamgame.gamelog import apply_log, board_fingerprint
 from hamgame.maker import MakerStrategy
-from hamgame.paths import init_path_system
+from hamgame.paths import PathSystem
 from hamgame.runner import (
     ABORTED,
     CSV_COLUMNS,
@@ -113,12 +114,23 @@ class TestOutcomes:
         assert result.violations
         assert result.reason.startswith("turn")
 
+    def test_drifted_counter_aborts_the_game(self):
+        class DriftingBreaker(RandomBreaker):
+            def take_turn(self, board, rng, k, maker=None):
+                if board.turn == 1:
+                    board.out_deg[0] += 1
+                return super().take_turn(board, rng, k, maker)
+
+        result = run_game(quick_cfg(), DriftingBreaker())
+        assert result.outcome == ABORTED
+        assert "counter out_deg[0] = " in result.reason
+
 
 def monitor_fixture():
     cfg = GameConfig(n=12, b=2, trouble_threshold=2.0, quota=2,
                      hub_size=6, max_turns=96)
     board = Board(cfg)
-    ps = init_path_system(board, set(cfg.hub_vertices()))
+    ps = PathSystem(board.n, set(cfg.hub_vertices()))
     maker = MakerStrategy(cfg, board, ps, Random(0))
     return cfg, board, ps, maker, InvariantMonitor(cfg, board, ps, maker)
 
@@ -226,10 +238,11 @@ class TestSweep:
     def test_artifacts_written_and_stable(self, tmp_path):
         spec = self.spec(n_values=[40], seeds=2)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_sweep(spec, out_dir=str(out_a), keep_logs=True)
+        rows, _ = run_sweep(spec, out_dir=str(out_a), keep_logs=True)
         run_sweep(spec, out_dir=str(out_b))
         csv_a = (out_a / "sweep.csv").read_bytes()
         assert csv_a == (out_b / "sweep.csv").read_bytes()
+        assert csv_a == rows_to_csv(rows).encode()
         assert (out_a / "manifest.json").exists()
         assert (out_a / "game_n40_s0.jsonl").exists()
         assert (out_a / "game_n40_s1.jsonl").exists()
