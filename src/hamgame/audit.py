@@ -50,12 +50,6 @@ class ExpansionReport:
         self.exact_complete = False
         return False
 
-    def summary(self) -> dict:
-        return {"anchors": self.anchors, "checked": self.checked,
-                "failures": self.failure_count,
-                "pass_rate": self.pass_rate,
-                "exact_complete": self.exact_complete}
-
 
 def _target_masks(board: Board, ps: PathSystem,
                   anchors: list[int]) -> dict[int, int]:
@@ -493,24 +487,6 @@ def turn_accounting(log: GameLog) -> dict:
     return summary
 
 
-# -- pair counts ----------------------------------------------------------------
-
-def pair_count_audit(pair_counts: list[tuple[int, int]],
-                     threshold: int = 0) -> dict:
-    """Booster-turn pair supply versus a configured floor.
-
-    pair_counts holds (turn, available endpoint pairs) samples captured
-    before each booster search; threshold 0 records without judging.
-    """
-    verdicts = [(turn, count, count >= threshold)
-                for turn, count in pair_counts]
-    return {
-        "threshold": threshold,
-        "samples": verdicts,
-        "all_pass": all(ok for _, _, ok in verdicts),
-    }
-
-
 # -- per-game wrap-up -----------------------------------------------------------
 
 @dataclass
@@ -518,13 +494,6 @@ class AuditReport:
     expansion: ExpansionReport | None
     connectivity_ok: bool
     expansion_pass_rate: float
-
-    def summary(self) -> dict:
-        return {
-            "expansion": None if self.expansion is None
-            else self.expansion.summary(),
-            "connectivity_ok": self.connectivity_ok,
-        }
 
 
 def live_audit(board: Board, ps: PathSystem, rng: Random,

@@ -4,7 +4,9 @@ Four subcommands: `run` plays one seeded game, `sweep` runs an
 (n, seed) grid and writes CSV + manifest, `replay` re-derives a saved
 game from its log and checks byte identity, `audit` re-verifies a saved
 log offline.  A key=value config file can hold any flag's value; flags
-given on the command line win.
+given on the command line win.  An unreadable file, or a key or value
+the subcommand's flags would not accept, stops the command before any
+game runs.
 """
 
 from __future__ import annotations
@@ -19,24 +21,34 @@ from .board import AuditLevel, GameConfig
 from .gamelog import GameLog, config_from_meta
 from .runner import SweepSpec, game_rng, run_game, run_sweep
 
-_INT_KEYS = {"n", "b", "seed", "quota", "max_turns", "seeds",
-             "closure_budget", "audit_samples", "master_seed", "workers"}
-_FLOAT_KEYS = {"beta", "tau_coeff", "s0_coeff"}
-_BOOL_KEYS = {"limited_only", "keep_logs"}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return raw
+def _coerce(action: argparse.Action, raw: str):
+    """Type a file value as the flag types its command-line value."""
+    if action.nargs == 0:
+        if raw.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"expected one of {', '.join(_TRUE + _FALSE)}")
+        return raw.lower() in _TRUE
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return value
 
 
-def load_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment; keys use flag spelling."""
+def load_config_file(path: str,
+                     parser: argparse.ArgumentParser | None = None) -> dict:
+    """key=value lines; '#' starts a comment; keys use flag spelling.
+
+    Each key must be a flag of `parser` (by default `hamgame run`), and
+    its value is typed and checked as that flag's would be; anything else
+    is a ValueError naming the file, line and key.
+    """
+    if parser is None:
+        parser = build_parser().subcommand_parsers["run"]
+    flags = {a.dest: a for a in parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -45,9 +57,15 @@ def load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            values[key] = _coerce(key, raw.strip())
+            name, raw = (part.strip() for part in line.split("=", 1))
+            key = name.replace("-", "_")
+            where = f"{path}:{lineno}: {name}"
+            if key not in flags:
+                raise ValueError(f"{where}: not a flag of {parser.prog}")
+            try:
+                values[key] = _coerce(flags[key], raw)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
     return values
 
 
@@ -85,11 +103,12 @@ def _apply_config_file(parser: argparse.ArgumentParser,
     # fill a fresh namespace, so root-level set_defaults never survives.
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
-        values = load_config_file(probe.config)
-        parser.set_defaults(**values)
-        chosen = parser.subcommand_parsers.get(probe.command)
-        if chosen is not None:
-            chosen.set_defaults(**values)
+        chosen = parser.subcommand_parsers[probe.command]
+        try:
+            values = load_config_file(probe.config, chosen)
+        except (OSError, ValueError) as err:
+            chosen.error(str(err))
+        chosen.set_defaults(**values)
     return parser.parse_args(argv)
 
 

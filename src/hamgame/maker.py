@@ -66,8 +66,7 @@ class MakerStrategy:
         self._end_deficit: list[int] = []
         for v in bits(ps.settled_mask):
             heapq.heappush(self._settled_deficit, v)
-        for pid in ps.sorted_ids:
-            a, b = ps.ends[pid]
+        for a, b in ps.ends.values():
             heapq.heappush(self._end_deficit, a)
             if b != a:
                 heapq.heappush(self._end_deficit, b)

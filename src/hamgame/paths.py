@@ -37,7 +37,7 @@ class PathSystem:
 
     __slots__ = (
         "n", "settled", "settled_mask", "nb", "loc", "ends", "lengths",
-        "sorted_ids", "endpoint_mask", "_next_id",
+        "endpoint_mask", "_next_id",
     )
 
     def __init__(self, n: int, settled: set[int]) -> None:
@@ -51,15 +51,14 @@ class PathSystem:
         self.ends: dict[int, tuple[int, int]] = {}
         self.lengths: dict[int, int] = {}
         self.endpoint_mask = 0
-        ids = []
+        # ends iterates in ascending path id: ids only grow, new paths
+        # are inserted last, and a join keeps the surviving id in place.
         for v in range(n):
             if v not in self.settled:
                 self.loc[v] = v         # singleton, path id == vertex id
                 self.ends[v] = (v, v)
                 self.lengths[v] = 1
                 self.endpoint_mask |= 1 << v
-                ids.append(v)
-        self.sorted_ids = ids           # kept sorted: fresh ids only grow
         self._next_id = n
 
     # -- queries ---------------------------------------------------------
@@ -123,7 +122,6 @@ class PathSystem:
             self.nb[w].remove(v)
         del self.ends[pid]
         del self.lengths[pid]
-        self.sorted_ids.remove(pid)
         self.endpoint_mask &= ~((1 << a) | (1 << b) | (1 << v))
         new_ids = tuple(self._register(self._walk(w)) for w in neighbors)
         return AbsorbResult(v, True, pid, new_ids)
@@ -136,7 +134,6 @@ class PathSystem:
         self.ends[pid] = (verts[0], verts[-1])
         self.lengths[pid] = len(verts)
         self.endpoint_mask |= (1 << verts[0]) | (1 << verts[-1])
-        self.sorted_ids.append(pid)
         return pid
 
     def join(self, u: int, v: int) -> int:
@@ -175,7 +172,6 @@ class PathSystem:
         self.nb[v].append(u)
         del self.ends[lose]
         self.lengths[keep] += self.lengths.pop(lose)
-        self.sorted_ids.remove(lose)
         self.ends[keep] = (far_keep, far_lose)
         self.endpoint_mask &= ~((1 << ka) | (1 << kb) | (1 << la) | (1 << lb))
         self.endpoint_mask |= (1 << far_keep) | (1 << far_lose)
@@ -194,8 +190,7 @@ class PathSystem:
         cand = self.endpoint_mask & board.deg_le1_mask
         if not cand:
             return None
-        for pid in self.sorted_ids:
-            a, b = self.ends[pid]
+        for pid, (a, b) in self.ends.items():
             own_bits = (1 << a) | (1 << b)
             if not (cand & own_bits):
                 continue
@@ -205,10 +200,9 @@ class PathSystem:
                 free = cand & ~own_bits & ~board.breaker_adj[u] & ~board.maker_adj[u]
                 if not free:
                     continue
-                for qid in self.sorted_ids:
+                for qid, (c, d) in self.ends.items():
                     if qid == pid:
                         continue
-                    c, d = self.ends[qid]
                     if c > d:
                         c, d = d, c
                     if free >> c & 1:
@@ -258,6 +252,6 @@ class PathSystem:
             emask |= (1 << a) | (1 << b)
         if emask != self.endpoint_mask:
             problems.append("endpoint_mask stale")
-        if self.sorted_ids != sorted(self.ends):
-            problems.append("sorted_ids stale")
+        if list(self.ends) != sorted(self.ends):
+            problems.append("path ids out of order")
         return problems

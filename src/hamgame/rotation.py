@@ -10,16 +10,19 @@ The closure explores full path states breadth-first, deduplicating by
 the exact vertex sequence.  Deduplicating by endpoint alone is cheaper
 but provably lossy (a second witness for a known endpoint can rotate to
 endpoints the first witness cannot reach), and the contract here is the
-true reachable set.  Exactness is paid for with an optional state
-budget: searches stop deterministically at `max_states` explored paths
-and flag the result as truncated.  Engine-scale callers set a budget;
+true reachable set.  Each explored path is stored once: its int32 bytes
+are the dedupe key, and the state is a read-only array view on that
+key; vertex positions are rebuilt into one reusable buffer when a state
+leaves the queue.  Exactness is paid for with an optional state budget:
+searches stop deterministically at `max_states` explored paths and flag
+the result as truncated.  Engine-scale callers set a budget;
 verification-scale callers leave it unbounded.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +66,9 @@ class RotationClosure:
     """Paths reachable from one path by rotations keeping one end fixed.
 
     endpoints lists each reachable free end once, in discovery order;
-    states lists every distinct reachable path (as int32 arrays starting
-    at the fixed end); the witness kept per endpoint is the first path
-    that reached it.
+    states lists every distinct reachable path, starting at the fixed
+    end, as read-only int32 views on the bytes the search deduplicated
+    by; the witness kept per endpoint is the first path that reached it.
     """
 
     __slots__ = ("fixed", "endpoints", "states", "truncated", "_witness")
@@ -130,10 +133,10 @@ def limited_rotation_closure(
     if validate:
         _validate_path(maker_adj, arr)
     length = len(arr)
+    key = arr.tobytes()
+    arr = np.frombuffer(key, np.int32)
     closure = RotationClosure(int(arr[0]))
     start = int(arr[-1])
-    pos0 = np.full(n, -1, dtype=np.int32)
-    pos0[arr] = np.arange(length, dtype=np.int32)
     closure.endpoints.append(start)
     closure.states.append(arr)
     closure._witness[start] = arr
@@ -142,24 +145,26 @@ def limited_rotation_closure(
     path_mask = 0
     for v in arr:
         path_mask |= 1 << int(v)
-    seen: set[bytes] = {arr.tobytes()}
-    queue: deque[tuple[np.ndarray, np.ndarray]] = deque([(arr, pos0)])
+    seen: set[bytes] = {key}
+    queue: deque[np.ndarray] = deque([arr])
     usable = pivot_mask & path_mask
     master_range = np.arange(length, dtype=np.int32)
+    pos = np.empty(n, dtype=np.int32)
     witness = closure._witness
     while queue:
-        o, p = queue.popleft()
+        o = queue.popleft()
+        # Every pivot is on the path, so no stale entry of pos is read.
+        pos[o] = master_range
         w = int(o[-1])
         for x in bits(maker_adj[w] & usable):
-            i = int(p[x])
+            i = int(pos[x])
             if i < 1 or i > length - 3:
                 continue
-            new_o = o.copy()
-            new_o[i + 1:] = o[length - 1:i:-1]
-            key = new_o.tobytes()
+            key = o[:i + 1].tobytes() + o[length - 1:i:-1].tobytes()
             if key in seen:
                 continue
             seen.add(key)
+            new_o = np.frombuffer(key, np.int32)
             y = int(new_o[-1])
             closure.states.append(new_o)
             if y not in witness:
@@ -170,9 +175,7 @@ def limited_rotation_closure(
             if max_states and len(closure.states) >= max_states:
                 closure.truncated = True
                 return closure
-            new_p = p.copy()
-            new_p[new_o[i + 1:]] = master_range[i + 1:]
-            queue.append((new_o, new_p))
+            queue.append(new_o)
     return closure
 
 
@@ -185,10 +188,20 @@ def endpoint_pairs_scan(
     max_states: int = 0,
     total_states: int = 0,
 ) -> tuple[set[tuple[int, int]], bool]:
-    """(pairs, truncated) behind endpoint_pairs; see there for semantics.
+    """Unordered endpoint pairs realizable on V(P) by the two-level
+    rotation construction: close over one end, then for each reachable
+    path close over its free end.  Returns (pairs, truncated).
 
-    total_states > 0 additionally bounds the states explored across the
-    whole two-level scan.
+    The union runs over every first-level path state, not one witness
+    per endpoint: second-level reachability genuinely depends on which
+    witness you rotate, and only the union over all of them is
+    independent of search order.  Every returned pair is realized by a
+    concrete path on V(P).
+
+    The input path must already have both endpoints in the anchor set
+    (run normalize_endpoints first when it may not).  max_states > 0
+    bounds each closure and total_states > 0 the states explored across
+    the whole scan; either bound being hit sets truncated.
     """
     budget = total_states
     first = limited_rotation_closure(
@@ -204,7 +217,7 @@ def endpoint_pairs_scan(
             break
         u = int(state[-1])
         second = limited_rotation_closure(
-            maker_adj, pivot_mask, state[::-1].copy(),
+            maker_adj, pivot_mask, state[::-1],
             validate=False, max_states=_cap(max_states, budget))
         truncated = truncated or second.truncated
         if budget:
@@ -220,32 +233,6 @@ def _cap(max_states: int, remaining: int) -> int:
     if max_states <= 0:
         return remaining
     return min(max_states, remaining)
-
-
-def endpoint_pairs(
-    maker_adj: list[int],
-    pivot_mask: int,
-    order,
-    *,
-    validate: bool = True,
-    max_states: int = 0,
-) -> set[tuple[int, int]]:
-    """Unordered endpoint pairs realizable on V(P) by the two-level
-    rotation construction: close over one end, then for each reachable
-    path close over its free end.
-
-    The union runs over every first-level path state, not one witness
-    per endpoint: second-level reachability genuinely depends on which
-    witness you rotate, and only the union over all of them is
-    independent of search order.  Every returned pair is realized by a
-    concrete path on V(P).
-
-    The input path must already have both endpoints in the anchor set
-    (run normalize_endpoints first when it may not).
-    """
-    pairs, _ = endpoint_pairs_scan(
-        maker_adj, pivot_mask, order, validate=validate, max_states=max_states)
-    return pairs
 
 
 def normalize_endpoints(
@@ -315,11 +302,11 @@ def find_closing_pair(
 ) -> tuple[tuple[int, int, list[int]] | None, bool]:
     """Least hub-hub endpoint pair whose edge is claimable, with witness.
 
-    Enumerates the same two-level pair family as endpoint_pairs but only
-    descends into first-level states whose free end is a hub with at
-    least one claimable hub partner on the path, keeps pairs with both
-    members hubs and the joining edge unclaimed by either player, and
-    takes the lexicographically least as (u, w) with u < w.
+    Enumerates the same two-level pair family as endpoint_pairs_scan but
+    only descends into first-level states whose free end is a hub with
+    at least one claimable hub partner on the path, keeps pairs with
+    both members hubs and the joining edge unclaimed by either player,
+    and takes the lexicographically least as (u, w) with u < w.
 
     Returns ((u, w, witness path from u to w) or None, truncated); a
     None hit with truncated=True means the budgeted search ran out, not
@@ -353,7 +340,7 @@ def find_closing_pair(
         if not partner_cand:
             continue
         second = limited_rotation_closure(
-            maker_adj, pivot_mask, state[::-1].copy(),
+            maker_adj, pivot_mask, state[::-1],
             validate=False, max_states=_cap(max_states, budget))
         truncated = truncated or second.truncated
         if budget:

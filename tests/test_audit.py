@@ -11,7 +11,6 @@ from hamgame.audit import (
     connectivity_audit,
     expansion_audit,
     live_audit,
-    pair_count_audit,
     potential_audit,
     turn_accounting,
     verify_hamilton,
@@ -296,14 +295,6 @@ class TestTurnAccounting:
         bedges = sum(len(r.edges) for r in result.log.records
                      if r.player == "B")
         assert acct["trouble_bound"] == 2 * bedges / result.log.meta["tau"]
-
-
-class TestPairCounts:
-    def test_verdicts_and_threshold(self):
-        out = pair_count_audit([(3, 5), (9, 0)], threshold=1)
-        assert out["samples"] == [(3, 5, True), (9, 0, False)]
-        assert not out["all_pass"]
-        assert pair_count_audit([(3, 5), (9, 0)])["all_pass"]
 
 
 class TestLiveAudit:

@@ -118,3 +118,39 @@ class TestConfigFile:
         values = load_config_file(str(cfg))
         assert values == {"n": 40, "beta": 0.3, "limited_only": False,
                           "breaker": "isolator"}
+
+    def test_unknown_key_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 60\ntau-coef = 0.3\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(cfg))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{cfg}:2: tau-coef: not a flag of hamgame run" in captured.err
+        assert captured.out == ""
+
+    def test_bad_boolean_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text("limited-only = flase\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(cfg))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{cfg}:1: limited-only: expected one of" in captured.err
+        assert captured.out == ""
+
+    def test_missing_file_is_an_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(tmp_path / "absent.cfg"))
+        assert exc.value.code == 2
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_sweep_takes_an_n_list(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = 40,60\nseeds = 1\naudit-samples = 200\n")
+        out = tmp_path / "grid"
+        rc = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+        assert rc == 0
+        assert "2 games" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_values"] == [40, 60]

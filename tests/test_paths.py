@@ -104,6 +104,13 @@ def test_anchor_mask_is_settled_plus_endpoints():
     assert (ps.anchor_mask() >> 8) & 1
 
 
+def test_deep_check_flags_path_ids_out_of_order():
+    # find_joinable_pair scans ends in insertion order as id order.
+    ps = fresh()
+    ps.ends[0] = ps.ends.pop(0)
+    assert ps.deep_check() == ["path ids out of order"]
+
+
 class TestJoinablePair:
     def board(self, n=10):
         return Board(GameConfig(n=n, b=1, trouble_threshold=5.0,
@@ -171,7 +178,7 @@ def test_random_mutation_sequences_stay_consistent(seed):
     assert ps.deep_check() == []
     # Partition: every vertex settled or on exactly one path.
     covered = set(ps.settled)
-    for pid in ps.sorted_ids:
+    for pid in ps.ends:
         verts = ps.path_vertices(pid)
         assert covered.isdisjoint(verts)
         covered.update(verts)

@@ -6,6 +6,7 @@ comparison on the fly.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hamgame.rotation import (
     RotationError,
     TrackedPath,
     advance_tracked_path,
-    endpoint_pairs,
     endpoint_pairs_scan,
     find_closing_pair,
     limited_rotation_closure,
@@ -109,32 +109,66 @@ class TestClosure:
                                      stop_at=lambda e: e == 4)
         assert c.endpoints == [4]
 
+    def test_each_state_is_stored_once(self):
+        # Each explored path is one bytes object (its dedupe key, viewed
+        # as the state), so a budgeted closure on a chorded n = 1000 path
+        # peaks well below two n-sized blocks per state.
+        n = 1000
+        rng = random.Random(1000)
+        adj_sets = [set() for _ in range(n)]
+        for a, b in [(v, v + 1) for v in range(n - 1)] + [
+                tuple(rng.sample(range(n), 2)) for _ in range(4 * n)]:
+            adj_sets[a].add(b)
+            adj_sets[b].add(a)
+        adj = masks(adj_sets)
+        base = np.arange(n, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            c = limited_rotation_closure(adj, (1 << n) - 1, base,
+                                         max_states=256)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert c.truncated and len(c.states) == 256
+        assert peak < 1.5 * len(c.states) * 4 * n
+
 
 class TestEndpointPairs:
     def test_bare_path_gives_its_own_ends(self):
         adj = masks([{1}, {0, 2}, {1, 3}, {2}])
-        assert endpoint_pairs(adj, 0b1111, [0, 1, 2, 3]) == {(0, 3)}
+        pairs, truncated = endpoint_pairs_scan(adj, 0b1111, [0, 1, 2, 3])
+        assert pairs == {(0, 3)}
+        assert not truncated
 
     def test_five_vertex_two_chords_frozen(self):
         # Frozen from endpoint_pairs_bruteforce on ADJ5, all pivots.
-        got = endpoint_pairs(masks(ADJ5), 0b11111, [0, 1, 2, 3, 4])
+        got, truncated = endpoint_pairs_scan(masks(ADJ5), 0b11111,
+                                             [0, 1, 2, 3, 4])
         assert got == {(0, 2), (0, 4), (2, 4)}
+        assert not truncated
 
     def test_five_vertex_restricted_pivots_frozen(self):
         # Chord midpoints 1 and 3 are the only pivots that matter here,
         # so restricting to them changes nothing.
-        got = endpoint_pairs(masks(ADJ5), mask_of([1, 3]), [0, 1, 2, 3, 4])
+        got, truncated = endpoint_pairs_scan(masks(ADJ5), mask_of([1, 3]),
+                                             [0, 1, 2, 3, 4])
         assert got == {(0, 2), (0, 4), (2, 4)}
+        assert not truncated
 
     def test_cycle_with_both_path_ends_labeled(self):
         # Opening the 6-cycle at its one anchor-anchor edge (5-0) is the
         # input path itself, and that pair is exactly what comes back.
-        got = endpoint_pairs(masks(ADJ6), mask_of([0, 5]), [0, 1, 2, 3, 4, 5])
+        got, truncated = endpoint_pairs_scan(masks(ADJ6), mask_of([0, 5]),
+                                             [0, 1, 2, 3, 4, 5])
         assert got == {(0, 5)}
+        assert not truncated
         assert len(got) >= 1  # one labeled cycle edge, at least one pair
 
     def test_cycle_matches_oracle_under_full_labeling(self):
-        got = endpoint_pairs(masks(ADJ6), 0b111111, [0, 1, 2, 3, 4, 5])
+        got, truncated = endpoint_pairs_scan(masks(ADJ6), 0b111111,
+                                             [0, 1, 2, 3, 4, 5])
+        assert not truncated
         want = endpoint_pairs_bruteforce(ADJ6, {0, 1, 2, 3, 4, 5},
                                          (0, 1, 2, 3, 4, 5))
         assert got == want
@@ -332,9 +366,11 @@ class TestOracleEquivalence:
         n = rng.randint(4, 9)
         adj_sets, base = random_maker_graph(rng, n, rng.randint(0, 4))
         pivots = random_pivots(rng, n)
-        got = endpoint_pairs(masks(adj_sets), mask_of(pivots), base)
+        got, truncated = endpoint_pairs_scan(masks(adj_sets), mask_of(pivots),
+                                             base)
         want = endpoint_pairs_bruteforce(adj_sets, pivots, base)
         assert got == want
+        assert not truncated
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
