@@ -10,18 +10,21 @@ The closure explores full path states breadth-first, deduplicating by
 the exact vertex sequence.  Deduplicating by endpoint alone is cheaper
 but provably lossy (a second witness for a known endpoint can rotate to
 endpoints the first witness cannot reach), and the contract here is the
-true reachable set.  Each explored path is stored once: its int32 bytes
-are the dedupe key, and the state is a read-only array view on that
-key; vertex positions are rebuilt into one reusable buffer when a state
-leaves the queue.  Exactness is paid for with an optional state budget:
-searches stop deterministically at `max_states` explored paths and flag
-the result as truncated.  Engine-scale callers set a budget;
-verification-scale callers leave it unbounded.
+true reachable set.  Each explored path is stored once, as a row of a
+table in the search's own anonymous memory map; rows are deduplicated
+by content hash with an exact compare, and in discovery order they are
+the breadth-first queue.  Freed heap memory stays with the process, in
+amounts that depend on what else was allocated meanwhile; the map goes
+back to the system when the closure is dropped.  Exactness is paid for
+with an optional state budget: searches stop deterministically at
+`max_states` explored paths and flag the result as truncated.
+Engine-scale callers set a budget; verification-scale callers leave it
+unbounded.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +69,48 @@ class RotationClosure:
     """Paths reachable from one path by rotations keeping one end fixed.
 
     endpoints lists each reachable free end once, in discovery order;
-    states lists every distinct reachable path, starting at the fixed
-    end, as read-only int32 views on the bytes the search deduplicated
-    by; the witness kept per endpoint is the first path that reached it.
+    states holds every distinct reachable path, starting at the fixed
+    end, as the rows of a read-only unsigned integer array in discovery
+    order; the witness kept per endpoint is the first path that reached
+    it.
     """
 
-    __slots__ = ("fixed", "endpoints", "states", "truncated", "_witness")
+    __slots__ = ("fixed", "endpoints", "truncated", "_witness", "_rows",
+                 "_keys", "_count")
 
-    def __init__(self, fixed: int) -> None:
-        self.fixed = fixed
-        self.endpoints: list[int] = []
-        self.states: list[np.ndarray] = []
+    def __init__(self, path: np.ndarray, budget: int) -> None:
+        self.fixed = int(path[0])
+        self.endpoints = [int(path[-1])]
         self.truncated = False
-        self._witness: dict[int, np.ndarray] = {}
+        self._witness = {int(path[-1]): 0}     # endpoint -> row
+        # The narrowest unsigned type that holds the path's vertices.
+        dtype = np.min_scalar_type(int(path.max()))
+        self._rows = np.empty((0, len(path)), dtype)
+        # Room for the whole budget when it fits in 1 GiB of addresses
+        # (a page is touched only when a row on it is written); other
+        # searches start with room for 64 paths and double.
+        row_bytes = len(path) * dtype.itemsize
+        self._grow(budget if 0 < budget * row_bytes <= 1 << 30 else 64)
+        self._rows[0] = path
+        self._count = 1
+
+    def _grow(self, rows: int) -> None:
+        """Move the table to a fresh map with room for `rows` paths; _keys
+        is a read-only byte view of the map, which can be hashed."""
+        length = self._rows.shape[1]
+        buf = mmap.mmap(-1, rows * length * self._rows.itemsize)
+        table = np.frombuffer(buf, self._rows.dtype).reshape(rows, length)
+        table[:len(self._rows)] = self._rows
+        self._rows, self._keys = table, memoryview(buf).toreadonly()
+
+    @property
+    def states(self) -> np.ndarray:
+        view = self._rows[:self._count]
+        view.flags.writeable = False
+        return view
 
     def witness_path(self, w: int) -> list[int]:
-        return [int(x) for x in self._witness[w]]
+        return self._rows[self._witness[w]].tolist()
 
     def __contains__(self, w: int) -> bool:
         return w in self._witness
@@ -133,26 +162,23 @@ def limited_rotation_closure(
     if validate:
         _validate_path(maker_adj, arr)
     length = len(arr)
-    key = arr.tobytes()
-    arr = np.frombuffer(key, np.int32)
-    closure = RotationClosure(int(arr[0]))
-    start = int(arr[-1])
-    closure.endpoints.append(start)
-    closure.states.append(arr)
-    closure._witness[start] = arr
-    if length < 4 or (stop_at is not None and stop_at(start)):
+    closure = RotationClosure(arr, max_states)
+    if length < 4 or (stop_at is not None and stop_at(closure.endpoints[0])):
         return closure
     path_mask = 0
     for v in arr:
         path_mask |= 1 << int(v)
-    seen: set[bytes] = {key}
-    queue: deque[np.ndarray] = deque([arr])
+    width = closure._rows[0].nbytes
+    # Content hash -> rows with that hash; rows are compared exactly.
+    seen: dict[int, list[int]] = {hash(closure._keys[:width]): [0]}
     usable = pivot_mask & path_mask
     master_range = np.arange(length, dtype=np.int32)
     pos = np.empty(n, dtype=np.int32)
     witness = closure._witness
-    while queue:
-        o = queue.popleft()
+    head = 0
+    while head < closure._count:
+        o = closure._rows[head]
+        head += 1
         # Every pivot is on the path, so no stale entry of pos is read.
         pos[o] = master_range
         w = int(o[-1])
@@ -160,22 +186,27 @@ def limited_rotation_closure(
             i = int(pos[x])
             if i < 1 or i > length - 3:
                 continue
-            key = o[:i + 1].tobytes() + o[length - 1:i:-1].tobytes()
-            if key in seen:
+            k = closure._count
+            if k == len(closure._rows):
+                closure._grow(2 * k)
+            new_o = closure._rows[k]
+            new_o[:i + 1] = o[:i + 1]
+            new_o[i + 1:] = o[:i:-1]
+            twins = seen.setdefault(
+                hash(closure._keys[k * width:(k + 1) * width]), [])
+            if any(np.array_equal(closure._rows[j], new_o) for j in twins):
                 continue
-            seen.add(key)
-            new_o = np.frombuffer(key, np.int32)
+            twins.append(k)
+            closure._count = k + 1
             y = int(new_o[-1])
-            closure.states.append(new_o)
             if y not in witness:
-                witness[y] = new_o
+                witness[y] = k
                 closure.endpoints.append(y)
                 if stop_at is not None and stop_at(y):
                     return closure
-            if max_states and len(closure.states) >= max_states:
+            if max_states and k + 1 >= max_states:
                 closure.truncated = True
                 return closure
-            queue.append(new_o)
     return closure
 
 

@@ -104,15 +104,34 @@ class TestClosure:
         free = limited_rotation_closure(masks(ADJ4), 0b1111, [0, 1, 2, 3])
         assert not free.truncated
 
+    def test_growing_table_matches_a_presized_one(self):
+        # K8: pivots sit at positions 1..n-3, so the 6! orders of the
+        # last six vertices are reachable.  An unbounded search, and one
+        # whose budget is too large to reserve up front, double their
+        # table from 64 rows; a search with a small budget never has to.
+        n = 8
+        adj = masks([set(range(n)) - {v} for v in range(n)])
+        sized = limited_rotation_closure(adj, (1 << n) - 1, list(range(n)),
+                                         max_states=1000)
+        assert len(sized.states) == 720 and not sized.truncated
+        for budget in (0, 10**12):
+            grown = limited_rotation_closure(adj, (1 << n) - 1,
+                                             list(range(n)), max_states=budget)
+            assert np.array_equal(grown.states, sized.states)
+            assert grown.endpoints == sized.endpoints and not grown.truncated
+            assert all(grown.witness_path(w) == sized.witness_path(w)
+                       for w in grown.endpoints)
+
     def test_stop_at_cuts_search_short(self):
         c = limited_rotation_closure(masks(ADJ5), 0b11111, [0, 1, 2, 3, 4],
                                      stop_at=lambda e: e == 4)
         assert c.endpoints == [4]
 
     def test_each_state_is_stored_once(self):
-        # Each explored path is one bytes object (its dedupe key, viewed
-        # as the state), so a budgeted closure on a chorded n = 1000 path
-        # peaks well below two n-sized blocks per state.
+        # Each explored path is one row of the closure's table, which
+        # lives in its own memory map, not on the heap that tracemalloc
+        # traces; a budgeted closure on a chorded n = 1000 path puts far
+        # less than one n-sized block per state on that heap.
         n = 1000
         rng = random.Random(1000)
         adj_sets = [set() for _ in range(n)]
@@ -131,7 +150,8 @@ class TestClosure:
         finally:
             tracemalloc.stop()
         assert c.truncated and len(c.states) == 256
-        assert peak < 1.5 * len(c.states) * 4 * n
+        assert peak < 0.25 * len(c.states) * 4 * n
+        assert c.states.shape == (256, n)
 
 
 class TestEndpointPairs:
