@@ -9,12 +9,12 @@ game and deterministic given the rng stream they are handed.
 from __future__ import annotations
 
 import heapq
-import json
 from itertools import islice
 from math import isqrt
 from random import Random
 
 from .board import Board, BoardError, bits
+from .gamelog import GameLog
 from .rotation import endpoint_pairs_scan
 
 
@@ -271,18 +271,16 @@ class ScriptedBreaker(BreakerPolicy):
             self.name = name
 
     @classmethod
+    def from_log(cls, log: GameLog) -> "ScriptedBreaker":
+        """Replays the Breaker records of a parsed log under the policy
+        name in its header; the turns are the records' own edge lists."""
+        return cls([rec.edges for rec in log.records if rec.player == "B"],
+                   name=log.meta.get("breaker"))
+
+    @classmethod
     def from_file(cls, path: str) -> "ScriptedBreaker":
         """Accepts a move-log file and extracts the Breaker records."""
-        turns: list[list[tuple[int, int]]] = []
-        name = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                if "meta" in rec:
-                    name = rec["meta"].get("breaker", name)
-                elif rec.get("player") == "B":
-                    turns.append([(u, v) for u, v in rec["edges"]])
-        return cls(turns, name=name)
+        return cls.from_log(GameLog.load(path))
 
     def take_turn(self, board: Board, rng: Random, k: int,
                   maker=None) -> list[tuple[int, int]]:
@@ -309,11 +307,7 @@ POLICIES: dict[str, type] = {
 }
 
 
-def make_policy(name: str, script_path: str | None = None) -> BreakerPolicy:
-    if name == "scripted":
-        if script_path is None:
-            raise ValueError("scripted breaker needs a script file")
-        return ScriptedBreaker.from_file(script_path)
+def make_policy(name: str) -> BreakerPolicy:
     try:
         return POLICIES[name]()
     except KeyError:

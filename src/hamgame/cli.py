@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .audit import potential_audit, turn_accounting, verify_hamilton
 from .board import AuditLevel, GameConfig
-from .gamelog import GameLog, config_from_meta
-from .runner import SweepSpec, game_rng, run_game, run_sweep
+from .breakers import ReplayError, ScriptedBreaker
+from .gamelog import GameLog, LogFormatError, config_from_meta
+from .runner import SweepSpec, run_game, run_sweep
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -80,9 +80,9 @@ def _add_game_flags(p: argparse.ArgumentParser, n_is_list: bool = False) -> None
                    help="absolute Breaker bias; default uses --beta")
     p.add_argument("--beta", type=float, default=0.25,
                    help="bias rule b = floor(beta*n/ln n)")
-    p.add_argument("--breaker", default="random",
-                   choices=["random", "isolator", "maxdanger", "pairkiller",
-                            "scripted"])
+    p.add_argument("--breaker", default=None,
+                   choices=["random", "isolator", "maxdanger", "pairkiller"],
+                   help="Breaker policy (default: random)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quota", type=int, default=4)
     p.add_argument("--tau-coeff", type=float, default=1.0)
@@ -124,7 +124,13 @@ def _game_config(args: argparse.Namespace) -> GameConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _game_config(args)
-    result = run_game(cfg, args.breaker, script_path=args.script)
+    try:
+        policy = ScriptedBreaker.from_file(args.script) if args.script \
+            else args.breaker or "random"
+        result = run_game(cfg, policy)
+    except (LogFormatError, ReplayError) as err:
+        print(f"script {args.script}: {err}")
+        return 1
     if args.out:
         result.log.write(args.out)
     line = f"{result.outcome} n={cfg.n} b={cfg.b} turns={result.maker_turns}"
@@ -138,7 +144,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_values = [int(x) for x in str(args.n).split(",")]
     spec = SweepSpec(
-        n_values=n_values, seeds=args.seeds, breaker=args.breaker,
+        n_values=n_values, seeds=args.seeds,
+        breaker=args.breaker or "random",
         b=args.b, beta=args.beta, tau_coeff=args.tau_coeff,
         s0_coeff=args.s0_coeff, quota=args.quota,
         master_seed=args.seed, audit_level=args.audit_level,
@@ -156,13 +163,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     from .gamelog import LogReplayError, apply_log, board_fingerprint
 
-    log = GameLog.load(args.log)
+    # Binary, so the rerun is compared with the file's bytes as they are.
+    with open(args.log, "rb") as fh:
+        data = fh.read()
     try:
-        board = apply_log(log)
-    except LogReplayError as err:
+        log = GameLog.parse(data)
+        fp = board_fingerprint(apply_log(log))
+    except (LogFormatError, LogReplayError) as err:
         print(f"INVALID log: {err}")
         return 1
-    fp = board_fingerprint(board)
     want = (log.end or {}).get("fingerprint")
     if want is None:
         print("log has no final fingerprint")
@@ -171,10 +180,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"MISMATCH replayed={fp} logged={want}")
         return 1
     # Re-run the full engine against the logged Breaker moves and
-    # demand byte-identical output.
-    cfg = config_from_meta(log.meta)
-    result = run_game(cfg, "scripted", script_path=args.log)
-    if result.log.dumps() != log.dumps():
+    # demand the saved file's bytes.
+    try:
+        result = run_game(config_from_meta(log.meta),
+                          ScriptedBreaker.from_log(log))
+    except ReplayError as err:
+        print(f"MISMATCH: engine rerun diverged: {err}")
+        return 1
+    if result.log.dumps().encode() != data:
         print("MISMATCH: engine rerun diverged from saved log")
         return 1
     print(f"OK fingerprint={fp}")
@@ -182,7 +195,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    log = GameLog.load(args.log)
+    try:
+        log = GameLog.load(args.log)
+        config_from_meta(log.meta)
+    except LogFormatError as err:
+        print(f"INVALID log: {err}")
+        return 1
     failures = 0
     outcome = (log.end or {}).get("outcome")
     print(f"outcome: {outcome}")
@@ -218,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="play one seeded game")
     _add_game_flags(p_run)
-    p_run.add_argument("--script", default=None,
-                       help="log file with Breaker moves (breaker=scripted)")
+    p_run.add_argument("--script", default=None, metavar="LOG",
+                       help="replay the Breaker moves of a saved log "
+                            "instead of a --breaker policy")
     p_run.add_argument("--out", default=None, help="write the game log here")
     p_run.set_defaults(func=cmd_run)
 
@@ -249,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = _apply_config_file(parser, list(sys.argv[1:] if argv is None
                                            else argv))
+    if getattr(args, "script", None) and args.breaker is not None:
+        parser.subcommand_parsers["run"].error(
+            "--script replays a saved Breaker; it takes no --breaker")
     return args.func(args)
 
 

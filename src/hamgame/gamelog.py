@@ -35,14 +35,50 @@ class MoveRecord:
         return json.dumps(body, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, obj: dict) -> "MoveRecord":
-        return cls(
-            turn=obj["turn"],
-            player=obj["player"],
-            edges=[(u, v) for u, v in obj["edges"]],
-            case=obj.get("case"),
-            promoted=list(obj.get("promoted", ())),
-        )
+    def from_json(cls, obj: dict, n: int) -> "MoveRecord":
+        """Build a record from its parsed line, for an n-vertex board.  A
+        shape the engine never writes is a ValueError saying what."""
+        if not obj.keys() <= RECORD_KEYS:
+            raise ValueError(
+                f"unknown record key(s) {sorted(obj.keys() - RECORD_KEYS)}")
+        if not obj.keys() >= {"turn", "player", "edges"}:
+            raise ValueError("record lacks turn, player or edges")
+        turn, player, raw = obj["turn"], obj["player"], obj["edges"]
+        if type(turn) is not int:
+            raise ValueError(f"turn {turn!r} is not an int")
+        if player not in ("B", "M"):
+            raise ValueError(f"player {player!r} is not \"B\" or \"M\"")
+        if type(raw) is not list:
+            raise ValueError(f"edges {raw!r} is not a list")
+        try:
+            edges = [(u, v) for u, v in raw]
+        except (TypeError, ValueError):
+            raise ValueError("edges is not a list of [u, v] pairs") from None
+        for u, v in edges:
+            if not (type(u) is int and type(v) is int and u != v
+                    and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge [{u!r}, {v!r}] is not two distinct "
+                                 f"ints in [0, {n})")
+        case = obj.get("case")
+        if not (case is None or type(case) is str):
+            raise ValueError(f"case {case!r} is not a string")
+        promoted = obj.get("promoted", [])
+        if type(promoted) is not list or not all(
+                type(v) is int and 0 <= v < n for v in promoted):
+            raise ValueError(f"promoted {promoted!r} is not a list of ints "
+                             f"in [0, {n})")
+        return cls(turn, player, edges, case, promoted)
+
+
+RECORD_KEYS = frozenset(("turn", "player", "edges", "case", "promoted"))
+
+
+class LogFormatError(ValueError):
+    """A log line that does not have the shape the engine writes."""
+
+    def __init__(self, line: int, message: str) -> None:
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
 def config_meta(cfg: GameConfig, breaker: str) -> dict:
@@ -58,16 +94,36 @@ def config_meta(cfg: GameConfig, breaker: str) -> dict:
     }
 
 
+# The JSON types each header key that config_from_meta reads may have.
+HEADER_TYPES = {
+    "n": (int,), "b": (int,), "tau": (int, float), "quota": (int,),
+    "hub_size": (int,), "max_turns": (int,), "seed": (int,),
+    "audit_level": (str,), "limited_only": (bool,),
+    "closure_budget": (int,), "audit_samples": (int,),
+}
+
+
 def config_from_meta(meta: dict) -> GameConfig:
-    return GameConfig(
-        n=meta["n"], b=meta["b"], trouble_threshold=meta["tau"],
-        quota=meta["quota"], hub_size=meta["hub_size"],
-        max_turns=meta["max_turns"], seed=meta["seed"],
-        audit_level=AuditLevel(meta["audit_level"]),
-        limited_only=meta["limited_only"],
-        closure_budget=meta["closure_budget"],
-        audit_samples=meta.get("audit_samples", 10_000),
-    )
+    """The game's parameters from a log header.  A missing or ill-typed
+    key, or a value GameConfig rejects, is a LogFormatError on line 1."""
+    meta = {"audit_samples": 10_000, **meta}    # older logs lack the key
+    for key, types in HEADER_TYPES.items():
+        if key not in meta:
+            raise LogFormatError(1, f"header has no {key!r}")
+        if type(meta[key]) not in types:
+            raise LogFormatError(1, f"header {key!r} is {meta[key]!r}")
+    try:
+        return GameConfig(
+            n=meta["n"], b=meta["b"], trouble_threshold=meta["tau"],
+            quota=meta["quota"], hub_size=meta["hub_size"],
+            max_turns=meta["max_turns"], seed=meta["seed"],
+            audit_level=AuditLevel(meta["audit_level"]),
+            limited_only=meta["limited_only"],
+            closure_budget=meta["closure_budget"],
+            audit_samples=meta["audit_samples"],
+        )
+    except ValueError as err:
+        raise LogFormatError(1, f"header: {err}") from None
 
 
 FINGERPRINT_CHUNK_ROWS = 64
@@ -123,27 +179,57 @@ class GameLog:
             fh.write(self.dumps())
 
     @classmethod
-    def parse(cls, text: str) -> "GameLog":
+    def parse(cls, text: str | bytes) -> "GameLog":
+        """Read a log, checking each line's shape (see MoveRecord.from_json
+        for records).  Blank lines are skipped; any other departure from
+        header, records, optional end line is a LogFormatError."""
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as err:
+                line = text.count(b"\n", 0, err.start) + 1
+                raise LogFormatError(line, "not UTF-8") from None
         meta: dict | None = None
         records: list[MoveRecord] = []
         end = None
-        for line in text.splitlines():
+        n = 0
+        for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if "meta" in obj:
-                meta = obj["meta"]
-            elif "end" in obj:
-                end = obj["end"]
-            else:
-                records.append(MoveRecord.from_json(obj))
+            try:
+                obj = json.loads(line)
+                if type(obj) is not dict:
+                    raise ValueError("not a JSON object")
+                if end is not None:
+                    raise ValueError("line after the end line")
+                if obj.keys() == {"meta"}:
+                    if meta is not None:
+                        raise ValueError("second header line")
+                    meta = obj["meta"]
+                    n = meta.get("n") if type(meta) is dict else None
+                    if type(n) is not int:
+                        raise ValueError("header has no int 'n'")
+                elif obj.keys() == {"end"}:
+                    end = obj["end"]
+                    if type(end) is not dict:
+                        raise ValueError("end line is not an object")
+                elif meta is None:
+                    raise ValueError("no header line before this record")
+                else:
+                    records.append(MoveRecord.from_json(obj, n))
+            except json.JSONDecodeError as err:
+                raise LogFormatError(
+                    lineno, f"not JSON: {err.msg} at column {err.colno}"
+                ) from None
+            except ValueError as err:
+                raise LogFormatError(lineno, str(err)) from None
         if meta is None:
-            raise ValueError("log has no header line")
+            raise LogFormatError(1, "log has no header line")
         return cls(meta=meta, records=records, end=end)
 
     @classmethod
     def load(cls, path: str) -> "GameLog":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return cls.parse(fh.read())
 
 

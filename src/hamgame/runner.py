@@ -143,13 +143,13 @@ def game_rng(cfg: GameConfig, role: str) -> Random:
     return Random(f"{cfg.seed}:{cfg.n}:{cfg.b}:{role}")
 
 
-def run_game(cfg: GameConfig, breaker: str | BreakerPolicy = "random",
-             script_path: str | None = None) -> GameResult:
+def run_game(cfg: GameConfig,
+             breaker: str | BreakerPolicy = "random") -> GameResult:
     board = Board(cfg)
     ps = PathSystem(cfg.n, set(cfg.hub_vertices()))
     maker = MakerStrategy(cfg, board, ps, game_rng(cfg, "maker"))
     policy = breaker if isinstance(breaker, BreakerPolicy) \
-        else make_policy(breaker, script_path)
+        else make_policy(breaker)
     rng_b = game_rng(cfg, "breaker")
     monitor = InvariantMonitor(cfg, board, ps, maker)
     log = GameLog(meta=config_meta(cfg, policy.name))

@@ -17,6 +17,7 @@ from hamgame.breakers import (
     make_policy,
     pair_from_index,
 )
+from hamgame.gamelog import GameLog, MoveRecord
 from hamgame.rotation import TrackedPath
 
 
@@ -223,6 +224,29 @@ class TestScripted:
         pol = ScriptedBreaker.from_file(str(log))
         assert pol.name == "maxdanger"
         assert pol.turns == [[(0, 1), (0, 2)], []]
+
+    def test_from_file_skips_blank_lines(self, tmp_path):
+        log = tmp_path / "game.log"
+        log.write_text(
+            '\n{"meta": {"n": 10, "breaker": "isolator"}}\n\n'
+            '{"turn": 1, "player": "B", "edges": [[0, 1]]}\n'
+            '   \n'
+            '{"turn": 1, "player": "M", "edges": [[5, 6]], "case": "P1.C1.1"}\n'
+            '\n{"turn": 2, "player": "B", "edges": [[2, 3]]}\n\n',
+            encoding="utf-8")
+        pol = ScriptedBreaker.from_file(str(log))
+        assert pol.name == "isolator"
+        assert pol.turns == [[(0, 1)], [(2, 3)]]
+
+    def test_from_log_shares_the_records_edge_lists(self):
+        log = GameLog(meta={"n": 10, "breaker": "random"}, records=[
+            MoveRecord(1, "B", [(0, 1)]), MoveRecord(1, "M", [(5, 6)]),
+            MoveRecord(2, "B", [(2, 3), (2, 4)])])
+        pol = ScriptedBreaker.from_log(log)
+        assert pol.name == "random"
+        assert pol.turns[1] is log.records[2].edges
+        assert pol.take_turn(fresh_board(), Random(0), 1) \
+            is log.records[0].edges
 
     def test_bare_constructor_keeps_default_name(self):
         assert ScriptedBreaker([]).name == "scripted"

@@ -1,6 +1,7 @@
 """Command-line front end, driven through main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,15 @@ from hamgame.cli import load_config_file, main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture()
+def saved(tmp_path):
+    """A maxdanger game at n = 60, as `run --out` saves it."""
+    out = tmp_path / "game.jsonl"
+    run_cli("run", "--n", "60", "--seed", "11", "--breaker",
+            "maxdanger", "--out", str(out))
+    return out
 
 
 class TestRun:
@@ -30,14 +40,91 @@ class TestRun:
         assert "b=5" in capsys.readouterr().out
 
 
-class TestReplayCommand:
-    @pytest.fixture()
-    def saved(self, tmp_path):
-        out = tmp_path / "game.jsonl"
-        run_cli("run", "--n", "60", "--seed", "11", "--breaker",
-                "maxdanger", "--out", str(out))
-        return out
+def rewrite(path, edit, newline="\n"):
+    """Apply `edit` to the lines of a saved log and write it back."""
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes((newline.join(lines) + newline).encode())
 
+
+def edit_record(index, change):
+    """An edit that applies `change` in place to the JSON object on line
+    index + 1."""
+    def edit(lines):
+        rec = json.loads(lines[index])
+        change(rec)
+        lines[index] = json.dumps(rec, separators=(",", ":"))
+        return lines
+    return edit
+
+
+def truncate(lines):
+    lines[1] = lines[1][:40]
+    return lines
+
+
+# Each malformed log, with the start of what replay and audit print.
+MALFORMED = {
+    "truncated-json": (truncate, "INVALID log: line 2: not JSON"),
+    "record-without-edges": (edit_record(1, lambda r: r.pop("edges")),
+                             "INVALID log: line 2: record lacks"),
+    "unknown-record-key": (edit_record(1, lambda r: r.update(x=1)),
+                           "INVALID log: line 2: unknown record key"),
+    "vertex-minus-one": (edit_record(1, lambda r: r.update(edges=[[-1, 5]])),
+                         "INVALID log: line 2: edge [-1, 5] is not two"),
+    "vertex-n": (edit_record(1, lambda r: r.update(edges=[[0, 60]])),
+                 "INVALID log: line 2: edge [0, 60] is not two"),
+    "promoted-out-of-range": (edit_record(1, lambda r: r.update(promoted=[60])),
+                              "INVALID log: line 2: promoted [60]"),
+    "header-key-missing": (edit_record(0, lambda r: r["meta"].pop("quota")),
+                           "INVALID log: line 1: header has no 'quota'"),
+}
+
+# Logs that parse and rebuild the same position, but are not the bytes
+# the engine writes: the rerun comparison must catch them.
+ALTERED = {
+    "extra-record-key": edit_record(1, lambda r: r.update(promoted=[])),
+    "reordered-keys": edit_record(1, lambda r: r.update(
+        turn=r.pop("turn"), player=r.pop("player"))),
+    "case-null": edit_record(1, lambda r: r.update(case=None)),
+}
+
+
+class TestScriptFlag:
+    def test_script_alone_replays_the_saved_breaker(self, saved, tmp_path,
+                                                    capsys):
+        again = tmp_path / "again.jsonl"
+        assert run_cli("run", "--n", "60", "--seed", "11", "--script",
+                       str(saved), "--out", str(again)) == 0
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_malformed_script_is_a_clear_error(self, saved, capsys):
+        rewrite(saved, truncate)
+        capsys.readouterr()
+        assert run_cli("run", "--n", "60", "--script", str(saved)) == 1
+        assert capsys.readouterr().out.startswith(
+            f"script {saved}: line 2: not JSON")
+
+    @pytest.mark.parametrize("argv, config", [
+        (["run", "--breaker", "scripted"], None),
+        (["sweep", "--breaker", "scripted"], None),
+        (["run", "--script", "{script}", "--breaker", "random"], None),
+        (["run", "--script", "{script}"], "breaker = isolator\n"),
+        (["run", "--breaker", "isolator"], "script = {script}\n"),
+    ])
+    def test_usage_errors(self, saved, tmp_path, capsys, argv, config):
+        argv = [a.format(script=saved) for a in argv]
+        if config is not None:
+            cfg = tmp_path / "game.cfg"
+            cfg.write_text("n = 60\n" + config.format(script=saved))
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestReplayCommand:
     def test_clean_log_replays(self, saved, capsys):
         capsys.readouterr()
         assert run_cli("replay", str(saved)) == 0
@@ -65,6 +152,48 @@ class TestReplayCommand:
         out = capsys.readouterr().out
         assert out.startswith("INVALID log: turn 1: Breaker edge")
         assert "already claimed by Breaker" in out
+
+    @pytest.mark.parametrize("command", ["replay", "audit"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_log_is_invalid(self, saved, capsys, command, case):
+        edit, verdict = MALFORMED[case]
+        rewrite(saved, edit)
+        capsys.readouterr()
+        assert run_cli(command, str(saved)) == 1
+        assert capsys.readouterr().out.startswith(verdict)
+
+    @pytest.mark.parametrize("case", sorted(ALTERED) + ["crlf-line-ends"])
+    def test_altered_bytes_are_a_mismatch(self, saved, capsys, case):
+        if case == "crlf-line-ends":
+            rewrite(saved, lambda lines: lines, newline="\r\n")
+        else:
+            rewrite(saved, ALTERED[case])
+        capsys.readouterr()
+        assert run_cli("replay", str(saved)) == 1
+        assert capsys.readouterr().out == \
+            "MISMATCH: engine rerun diverged from saved log\n"
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_diverging_rerun_is_a_mismatch(self, tmp_path, capsys, seed):
+        out = tmp_path / "game.jsonl"
+        run_cli("run", "--n", "200", "--seed", str(seed), "--out", str(out))
+        rewrite(out, edit_record(
+            0, lambda r: r["meta"].update(seed=seed + 100)))
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 1
+        assert re.match(r"MISMATCH: engine rerun diverged: turn \d+: scripted "
+                        r"edge \(\d+, \d+\) already claimed by Maker\n$",
+                        capsys.readouterr().out)
+
+    @pytest.mark.parametrize("policy", ["random", "isolator", "maxdanger",
+                                        "pairkiller"])
+    def test_every_policy_replays(self, tmp_path, capsys, policy):
+        out = tmp_path / "game.jsonl"
+        run_cli("run", "--n", "200", "--seed", "2", "--breaker", policy,
+                "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 0
+        assert capsys.readouterr().out.startswith("OK fingerprint=")
 
 
 class TestAuditCommand:

@@ -1,5 +1,6 @@
 """Log serialization, config meta round trip, replay verification."""
 
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hamgame.board import BREAKER, MAKER, AuditLevel, Board, GameConfig
 from hamgame.gamelog import (
     FINGERPRINT_CHUNK_ROWS,
     GameLog,
+    LogFormatError,
     LogReplayError,
     MoveRecord,
     apply_log,
@@ -43,8 +45,7 @@ def sample_log():
 class TestMoveRecord:
     def test_json_round_trip(self):
         rec = MoveRecord(3, "M", [(1, 2)], case="P2.C2", promoted=[2])
-        import json
-        back = MoveRecord.from_json(json.loads(rec.to_json()))
+        back = MoveRecord.from_json(json.loads(rec.to_json()), n=10)
         assert back == rec
 
     def test_optional_fields_are_omitted(self):
@@ -84,6 +85,106 @@ class TestGameLog:
         assert GameLog.parse(padded).dumps() == log.dumps()
 
 
+def edit_line(index, change):
+    """A log edit: `change` maps the JSON object on line `index` (0-based
+    over the sample log's lines) to its replacement text."""
+    def edit(lines):
+        lines[index] = change(json.loads(lines[index]))
+        return lines
+    return edit
+
+
+def set_key(key, value):
+    def change(obj):
+        obj[key] = value
+        return json.dumps(obj)
+    return change
+
+
+def drop_key(key):
+    def change(obj):
+        del obj[key]
+        return json.dumps(obj)
+    return change
+
+
+class TestStrictParse:
+    """Sample log lines: 1 header, 2-5 records (2 is Breaker, turn 1), 6 end."""
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda ls: ls[:1] + ["[1, 2]"] + ls[1:],
+         r"line 2: not a JSON object"),
+        (lambda ls: ls[:1] + [ls[1][:20]] + ls[2:],
+         r"line 2: not JSON: "),
+        (lambda ls: ls[1:2] + ls[:1] + ls[2:],
+         r"line 1: no header line before this record"),
+        (lambda ls: ls[:3] + ls[:1] + ls[3:], r"line 4: second header line"),
+        (lambda ls: ls + ls[-1:], r"line 7: line after the end line"),
+        (lambda ls: ls + ls[1:2], r"line 7: line after the end line"),
+        (edit_line(1, set_key("note", "x")),
+         r"line 2: unknown record key\(s\) \['note'\]"),
+        (edit_line(1, drop_key("edges")),
+         r"line 2: record lacks turn, player or edges"),
+        (edit_line(2, drop_key("turn")),
+         r"line 3: record lacks turn, player or edges"),
+        (edit_line(1, set_key("turn", "1")), r"line 2: turn '1' is not an int"),
+        (edit_line(1, set_key("turn", 1.0)), r"line 2: turn 1.0 is not an int"),
+        (edit_line(1, set_key("turn", True)), r"line 2: turn True is not"),
+        (edit_line(2, set_key("player", "X")),
+         r"line 3: player 'X' is not \"B\" or \"M\""),
+        (edit_line(1, set_key("edges", [[0, 1, 2]])),
+         r"line 2: edges is not a list of \[u, v\] pairs"),
+        (edit_line(1, set_key("edges", [7])),
+         r"line 2: edges is not a list of \[u, v\] pairs"),
+        (edit_line(1, set_key("edges", "01")),
+         r"line 2: edges '01' is not a list"),
+        (edit_line(1, set_key("edges", [[0, 1], [-1, 2]])),
+         r"line 2: edge \[-1, 2\] is not two distinct ints in \[0, 10\)"),
+        (edit_line(1, set_key("edges", [[0, 10]])),
+         r"line 2: edge \[0, 10\] is not two"),
+        (edit_line(1, set_key("edges", [[3, 3]])),
+         r"line 2: edge \[3, 3\] is not two"),
+        (edit_line(1, set_key("edges", [[0, 1.0]])),
+         r"line 2: edge \[0, 1.0\] is not two"),
+        (edit_line(1, set_key("edges", [[0, True]])),
+         r"line 2: edge \[0, True\] is not two"),
+        (edit_line(2, set_key("case", 3)), r"line 3: case 3 is not a string"),
+        (edit_line(3, set_key("promoted", [10])),
+         r"line 4: promoted \[10\] is not a list of ints in \[0, 10\)"),
+        (edit_line(3, set_key("promoted", [-1])), r"line 4: promoted \[-1\]"),
+        (edit_line(3, set_key("promoted", 0)), r"line 4: promoted 0 is not"),
+        (edit_line(0, lambda obj: json.dumps({"meta": {"b": 3}})),
+         r"line 1: header has no int 'n'"),
+        (edit_line(0, lambda obj: json.dumps({"meta": [10]})),
+         r"line 1: header has no int 'n'"),
+        (edit_line(5, lambda obj: json.dumps({"end": None})),
+         r"line 6: end line is not an object"),
+    ])
+    def test_malformed_line_is_named(self, edit, reason):
+        lines = edit(sample_log().dumps().splitlines())
+        with pytest.raises(LogFormatError, match=f"^{reason}"):
+            GameLog.parse("\n".join(lines) + "\n")
+
+    def test_line_numbers_count_blank_lines(self):
+        lines = sample_log().dumps().splitlines()
+        lines.insert(1, "")
+        lines[3] = lines[3].replace('"M"', '"X"')
+        with pytest.raises(LogFormatError, match="^line 4: player 'X'"):
+            GameLog.parse("\n".join(lines))
+
+    def test_bytes_are_decoded_as_utf8(self):
+        data = sample_log().dumps().encode()
+        assert GameLog.parse(data).dumps() == sample_log().dumps()
+        lines = data.split(b"\n")
+        lines[2] = lines[2].replace(b"P1", b"P\xff")
+        with pytest.raises(LogFormatError, match="^line 3: not UTF-8"):
+            GameLog.parse(b"\n".join(lines))
+
+    def test_crlf_line_ends_parse(self):
+        text = sample_log().dumps()
+        assert GameLog.parse(text.replace("\n", "\r\n")).dumps() == text
+
+
 class TestConfigMeta:
     def test_round_trip_recovers_every_field(self):
         cfg = small_cfg(seed=99, audit_level=AuditLevel.FULL,
@@ -94,6 +195,28 @@ class TestConfigMeta:
 
     def test_meta_names_the_breaker(self):
         assert config_meta(small_cfg(), "pairkiller")["breaker"] == "pairkiller"
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("b", None, r"header has no 'b'"),
+        ("quota", "4", r"header 'quota' is '4'"),
+        ("limited_only", 1, r"header 'limited_only' is 1"),
+        ("seed", 1.5, r"header 'seed' is 1.5"),
+        ("audit_level", "loud", r"header: 'loud' is not a valid AuditLevel"),
+        ("n", 2, r"header: n must be >= 3"),
+    ])
+    def test_bad_header_key_is_a_line_1_error(self, key, value, reason):
+        meta = config_meta(small_cfg(), "random")
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        with pytest.raises(LogFormatError, match=f"^line 1: {reason}"):
+            config_from_meta(meta)
+
+    def test_integer_tau_is_accepted(self):
+        meta = config_meta(small_cfg(), "random")
+        meta["tau"] = 2
+        assert config_from_meta(meta).trouble_threshold == 2
 
     def test_missing_audit_samples_defaults(self):
         meta = config_meta(small_cfg(), "random")

@@ -8,7 +8,7 @@ import pytest
 
 from hamgame import runner as runner_mod
 from hamgame.board import Board, GameConfig, MAKER, BREAKER
-from hamgame.breakers import RandomBreaker
+from hamgame.breakers import RandomBreaker, ScriptedBreaker
 from hamgame.gamelog import apply_log, board_fingerprint
 from hamgame.maker import MakerStrategy
 from hamgame.paths import PathSystem
@@ -64,8 +64,7 @@ class TestDeterminism:
         result = run_game(quick_cfg(), breaker="maxdanger")
         path = tmp_path / "orig.jsonl"
         result.log.write(str(path))
-        again = run_game(quick_cfg(), breaker="scripted",
-                         script_path=str(path))
+        again = run_game(quick_cfg(), ScriptedBreaker.from_file(str(path)))
         assert again.log.dumps() == result.log.dumps()
         assert again.log.meta["breaker"] == "maxdanger"
 
