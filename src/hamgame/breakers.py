@@ -11,7 +11,10 @@ from __future__ import annotations
 import heapq
 from itertools import islice
 from math import isqrt
+from operator import length_hint
 from random import Random
+
+import numpy as np
 
 from .board import Board, BoardError, bits
 from .gamelog import GameLog
@@ -37,6 +40,21 @@ def pair_from_index(n: int, t: int) -> tuple[int, int]:
     return n - 2 - m, n - 1 - r + m * (m + 1) // 2
 
 
+def pairs_from_indices(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pair_from_index of each t in an int64 array, t < 2**32: the same
+    closed form, its square root in floating point, then corrected to
+    the exact row by one integer step either way."""
+    r = (n * (n - 1) // 2 - 1) - t
+    m = ((np.sqrt(r * 8.0 + 1.0) - 1.0) * 0.5).astype(np.int64)
+    m -= (m * (m + 1) >> 1) > r
+    m += ((m + 1) * (m + 2) >> 1) <= r
+    return (n - 2) - m, (n - 1) - r + (m * (m + 1) >> 1)
+
+
+# The random Breaker decodes its draws from this many words at a time.
+BLOCK_WORDS = 4096
+
+
 class BreakerPolicy:
     name = "base"
 
@@ -49,41 +67,100 @@ class BreakerPolicy:
 
 
 class RandomBreaker(BreakerPolicy):
-    """Uniform unclaimed pairs, without replacement within the turn."""
+    """Uniform unclaimed pairs, without replacement within the turn.
+
+    A draw is `rng.randrange(C(n,2))` decoded by pair_from_index.  While
+    C(n,2) < 2**32, randrange spends one 32-bit word per try, keeps its
+    top C(n,2).bit_length() bits and tries again while they are >= C(n,2);
+    `getrandbits(32*m)` returns m such words, lowest first.  So the draws
+    are decoded in numpy a block of words at a time, and the turns claim
+    exactly what one randrange per draw would.  `rng` then runs up to a
+    block ahead of the draws handed out, so the policy must be its only
+    user for the game; the block is kept across turns for one (rng, n),
+    and `rng` is put back exactly where one draw at a time would have
+    left it before anything else draws from it (the sample fallback).
+    """
 
     name = "random"
+
+    def __init__(self) -> None:
+        self._rng: Random | None = None
+        self._n = 0
+        self._block = iter(())      # (t, u, v) draws not yet handed out
+        self._state = None          # rng state before the block's words
+        self._ts = iter(())         # the block's t's, consumed with it
+        self._words = None          # per draw, the words spent through it
+
+    def _refill(self, rng: Random, n: int) -> None:
+        total = n * (n - 1) // 2
+        width = total.bit_length()
+        if width > 32:
+            # randrange takes several words per try: draw one at a time.
+            t = rng.randrange(total)
+            self._state = None
+            self._block = iter(((t, *pair_from_index(n, t)),))
+            return
+        self._state = rng.getstate()
+        words = np.frombuffer(
+            rng.getrandbits(32 * BLOCK_WORDS).to_bytes(4 * BLOCK_WORDS,
+                                                       "little"), "<u4")
+        r = words >> (32 - width)
+        kept = np.flatnonzero(r < total)
+        t = r[kept].astype(np.int64)
+        u, v = pairs_from_indices(n, t)
+        self._words = kept + 1
+        self._ts = iter(t.tolist())
+        self._block = zip(self._ts, u.tolist(), v.tolist())
+
+    def _rewind(self, rng: Random) -> None:
+        """Put rng just past the last draw handed out and drop the rest
+        of the block."""
+        if self._state is not None:
+            handed = len(self._words) - length_hint(self._ts)
+            rng.setstate(self._state)
+            if handed:
+                rng.getrandbits(32 * int(self._words[handed - 1]))
+            self._state = None
+        self._block = iter(())
 
     def take_turn(self, board: Board, rng: Random, k: int,
                   maker=None) -> list[tuple[int, int]]:
         n = board.n
-        total = n * (n - 1) // 2
+        if rng is not self._rng or n != self._n:
+            self._rng, self._n = rng, n
+            self._state = None
+            self._block = iter(())
         maker_adj = board.maker_adj
         breaker_adj = board.breaker_adj
-        randrange = rng.randrange
         out: list[tuple[int, int]] = []
         picked: set[int] = set()        # pair indices drawn this turn
         misses = 0
         while len(out) < k:
-            t = randrange(total)
-            u, v = pair_from_index(n, t)
-            if not (t in picked or (breaker_adj[u] | maker_adj[u]) >> v & 1):
-                picked.add(t)
-                out.append((u, v))
-                misses = 0
+            for t, u, v in self._block:
+                if not (t in picked
+                        or (breaker_adj[u] | maker_adj[u]) >> v & 1):
+                    picked.add(t)
+                    out.append((u, v))
+                    misses = 0
+                    if len(out) == k:
+                        break
+                else:
+                    misses += 1
+                    if misses > 64:
+                        # Board nearly full: enumerate what is left instead
+                        # of grinding the rejection loop.
+                        board.claim_breaker_edges(out)
+                        rest = [
+                            (a, c) for a in range(n) for c in bits(
+                                ~(board.maker_adj[a] | board.breaker_adj[a])
+                                & board.full_mask & ~((1 << (a + 1)) - 1))
+                        ]
+                        self._rewind(rng)
+                        tail = rng.sample(rest, k - len(out))
+                        board.claim_breaker_edges(tail)
+                        return out + tail
             else:
-                misses += 1
-                if misses > 64:
-                    # Board nearly full: enumerate what is left instead of
-                    # grinding the rejection loop.
-                    board.claim_breaker_edges(out)
-                    rest = [
-                        (a, c) for a in range(n) for c in bits(
-                            ~(board.maker_adj[a] | board.breaker_adj[a])
-                            & board.full_mask & ~((1 << (a + 1)) - 1))
-                    ]
-                    tail = rng.sample(rest, k - len(out))
-                    board.claim_breaker_edges(tail)
-                    return out + tail
+                self._refill(rng, n)
         board.claim_breaker_edges(out)
         return out
 
@@ -257,7 +334,8 @@ class PairKillerBreaker(BreakerPolicy):
 
 
 class ScriptedBreaker(BreakerPolicy):
-    """Replays a fixed per-turn edge list; any conflict is a replay error."""
+    """Replays a fixed per-turn edge list; a turn that is not k edges, or
+    any conflict, is a replay error."""
 
     name = "scripted"
 
@@ -288,6 +366,10 @@ class ScriptedBreaker(BreakerPolicy):
             raise ReplayError(board.turn, "script exhausted")
         moves = self.turns[self.cursor]
         self.cursor += 1
+        if len(moves) != k:
+            raise ReplayError(
+                board.turn, f"scripted turn has {len(moves)} edges, "
+                f"expected {k}")
         try:
             board.claim_breaker_edges(moves)
         except BoardError as err:

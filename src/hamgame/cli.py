@@ -163,12 +163,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     from .gamelog import LogReplayError, apply_log, board_fingerprint
 
-    # Binary, so the rerun is compared with the file's bytes as they are.
-    with open(args.log, "rb") as fh:
-        data = fh.read()
     try:
+        # Binary, so the rerun is compared with the file's bytes as they are.
+        with open(args.log, "rb") as fh:
+            data = fh.read()
         log = GameLog.parse(data)
         fp = board_fingerprint(apply_log(log))
+    except OSError as err:
+        print(f"INVALID log: cannot read {args.log}: {err.strerror or err}")
+        return 1
     except (LogFormatError, LogReplayError) as err:
         print(f"INVALID log: {err}")
         return 1
@@ -198,6 +201,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     try:
         log = GameLog.load(args.log)
         config_from_meta(log.meta)
+    except OSError as err:
+        print(f"INVALID log: cannot read {args.log}: {err.strerror or err}")
+        return 1
     except LogFormatError as err:
         print(f"INVALID log: {err}")
         return 1

@@ -73,6 +73,25 @@ class MoveRecord:
 RECORD_KEYS = frozenset(("turn", "player", "edges", "case", "promoted"))
 
 
+def check_end(end: dict, n: int) -> None:
+    """The end record's fields that replay and audit read must have the
+    types the engine writes; anything else is a ValueError saying what."""
+    for key in ("outcome", "fingerprint"):
+        if key in end and type(end[key]) is not str:
+            raise ValueError(f"end {key} {end[key]!r} is not a string")
+    stats = end.get("stats", {})
+    if type(stats) is not dict:
+        raise ValueError(f"end stats {stats!r} is not an object")
+    growth = stats.get("growth_events", 0)
+    if type(growth) is not int:
+        raise ValueError(f"end stats growth_events {growth!r} is not an int")
+    cert = end.get("certificate")
+    if cert is not None and (type(cert) is not list or not all(
+            type(v) is int and 0 <= v < n for v in cert)):
+        raise ValueError(
+            f"end certificate is not null or a list of ints in [0, {n})")
+
+
 class LogFormatError(ValueError):
     """A log line that does not have the shape the engine writes."""
 
@@ -213,6 +232,7 @@ class GameLog:
                     end = obj["end"]
                     if type(end) is not dict:
                         raise ValueError("end line is not an object")
+                    check_end(end, n)
                 elif meta is None:
                     raise ValueError("no header line before this record")
                 else:
@@ -245,18 +265,24 @@ def apply_log(log: GameLog) -> Board:
     Recomputes the troublesome promotions after each Breaker record and
     insists they match what was logged; this makes the log a replayable
     witness rather than a transcript taken on faith.  An illegal claim
-    (bad, duplicate or already owned edge) is a LogReplayError naming
-    the turn.
+    (bad, duplicate or already owned edge), or a Breaker record that does
+    not claim min(b, free pairs) edges, is a LogReplayError naming the
+    turn.
     """
     cfg = config_from_meta(log.meta)
     board = Board(cfg)
     for rec in log.records:
         board.turn = rec.turn
         if rec.player == "B":
+            k = min(cfg.b, board.unclaimed_pairs())
             try:
                 board.claim_breaker_edges(rec.edges)
             except BoardError as err:
                 raise LogReplayError(rec.turn, f"Breaker {err}") from None
+            if len(rec.edges) != k:
+                raise LogReplayError(
+                    rec.turn,
+                    f"Breaker claimed {len(rec.edges)} edges, expected {k}")
             fresh = board.refresh_troublesome()
             if fresh != sorted(rec.promoted):
                 raise LogReplayError(

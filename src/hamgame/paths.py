@@ -37,7 +37,7 @@ class PathSystem:
 
     __slots__ = (
         "n", "settled", "settled_mask", "nb", "loc", "ends", "lengths",
-        "endpoint_mask", "_next_id",
+        "endpoint_mask", "_next_id", "_dropped",
     )
 
     def __init__(self, n: int, settled: set[int]) -> None:
@@ -60,6 +60,7 @@ class PathSystem:
                 self.lengths[v] = 1
                 self.endpoint_mask |= 1 << v
         self._next_id = n
+        self._dropped = 0               # keys deleted from ends since built
 
     # -- queries ---------------------------------------------------------
 
@@ -120,7 +121,7 @@ class PathSystem:
         self.nb[v] = []
         for w in neighbors:
             self.nb[w].remove(v)
-        del self.ends[pid]
+        self._drop_path(pid)
         del self.lengths[pid]
         self.endpoint_mask &= ~((1 << a) | (1 << b) | (1 << v))
         new_ids = tuple(self._register(self._walk(w)) for w in neighbors)
@@ -135,6 +136,17 @@ class PathSystem:
         self.lengths[pid] = len(verts)
         self.endpoint_mask |= (1 << verts[0]) | (1 << verts[-1])
         return pid
+
+    def _drop_path(self, pid: int) -> None:
+        """Delete pid from ends.  A dict keeps a deleted key's slot until
+        an insert resizes it, and joins never insert, so once the dead
+        slots outnumber the live keys, ends is copied compactly (a copy
+        keeps the ascending id order)."""
+        del self.ends[pid]
+        self._dropped += 1
+        if self._dropped > len(self.ends):
+            self.ends = dict(self.ends)
+            self._dropped = 0
 
     def join(self, u: int, v: int) -> int:
         """Splice the path ending at u to the path ending at v via edge uv.
@@ -170,7 +182,7 @@ class PathSystem:
             self.loc[w] = keep
         self.nb[u].append(v)
         self.nb[v].append(u)
-        del self.ends[lose]
+        self._drop_path(lose)
         self.lengths[keep] += self.lengths.pop(lose)
         self.ends[keep] = (far_keep, far_lose)
         self.endpoint_mask &= ~((1 << ka) | (1 << kb) | (1 << la) | (1 << lb))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from itertools import combinations
+from math import isqrt
 
 
 def rotations_of(adj: list[set[int]], pivots: set[int], path: tuple[int, ...]):
@@ -176,3 +177,46 @@ def board_fingerprint_reference(board) -> str:
         h.update(repr(part).encode())
         h.update(b"|")
     return h.hexdigest()
+
+
+def _pair_from_index(n: int, t: int) -> tuple[int, int]:
+    r = n * (n - 1) // 2 - 1 - t
+    m = (isqrt(8 * r + 1) - 1) // 2
+    return n - 2 - m, n - 1 - r + m * (m + 1) // 2
+
+
+def random_breaker_turn_reference(board, rng, k: int) -> list[tuple[int, int]]:
+    """The random Breaker's turn with one `rng.randrange` per draw: the
+    loop the engine ran before it decoded its draws a block of words at
+    a time.  Those blocks must claim the same edges turn by turn, and
+    leave `rng` in the same state once the sample fallback has run."""
+    n = board.n
+    total = n * (n - 1) // 2
+    maker_adj = board.maker_adj
+    breaker_adj = board.breaker_adj
+    randrange = rng.randrange
+    out: list[tuple[int, int]] = []
+    picked: set[int] = set()        # pair indices drawn this turn
+    misses = 0
+    while len(out) < k:
+        t = randrange(total)
+        u, v = _pair_from_index(n, t)
+        if not (t in picked or (breaker_adj[u] | maker_adj[u]) >> v & 1):
+            picked.add(t)
+            out.append((u, v))
+            misses = 0
+        else:
+            misses += 1
+            if misses > 64:
+                # Board nearly full: enumerate what is left instead of
+                # grinding the rejection loop.
+                board.claim_breaker_edges(out)
+                rest = [
+                    (a, c) for a in range(n) for c in range(a + 1, n)
+                    if not (board.maker_adj[a] | board.breaker_adj[a]) >> c & 1
+                ]
+                tail = rng.sample(rest, k - len(out))
+                board.claim_breaker_edges(tail)
+                return out + tail
+    board.claim_breaker_edges(out)
+    return out

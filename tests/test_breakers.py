@@ -4,6 +4,7 @@ from itertools import combinations
 from random import Random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hamgame.board import BREAKER, MAKER, UNCLAIMED, Board, GameConfig
@@ -16,9 +17,11 @@ from hamgame.breakers import (
     ScriptedBreaker,
     make_policy,
     pair_from_index,
+    pairs_from_indices,
 )
 from hamgame.gamelog import GameLog, MoveRecord
 from hamgame.rotation import TrackedPath
+from oracles import random_breaker_turn_reference
 
 
 def fresh_board(n=10, b=3, thr=5.0, quota=2, hub_size=3):
@@ -48,6 +51,111 @@ class TestPairIndex:
             start += n - 1 - u
             assert pair_from_index(n, start - 1) == (u, n - 1)
         assert start == total
+
+
+class TestPairsFromIndices:
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_every_index_matches_pair_from_index(self, n):
+        total = n * (n - 1) // 2
+        u, v = pairs_from_indices(n, np.arange(total, dtype=np.int64))
+        assert list(zip(u.tolist(), v.tolist())) == \
+            [pair_from_index(n, t) for t in range(total)]
+
+    @pytest.mark.parametrize("n", [4000, 92682])
+    def test_first_and_last_indices_match(self, n):
+        total = n * (n - 1) // 2
+        t = np.r_[0:1000, total - 1000:total].astype(np.int64)
+        u, v = pairs_from_indices(n, t)
+        assert list(zip(u.tolist(), v.tolist())) == \
+            [pair_from_index(n, x) for x in t.tolist()]
+
+    def test_every_row_boundary_at_the_widest_n(self):
+        n = 92682                       # C(n,2) just under 2**32
+        rows = np.arange(n - 1, dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(n - 1 - rows)[:-1]))
+        u, v = pairs_from_indices(n, starts)
+        assert (u == rows).all() and (v == rows + 1).all()
+        u, v = pairs_from_indices(n, starts[1:] - 1)
+        assert (u == rows[:-1]).all() and (v == n - 1).all()
+
+
+class SampleCounting(Random):
+    """A Random that counts its sample calls, values unchanged."""
+
+    samples = 0
+
+    def sample(self, population, k, **kwargs):
+        self.samples += 1
+        return super().sample(population, k, **kwargs)
+
+
+def prefilled_board(n, b, seed, free=None):
+    """A board with random pairs already claimed by both players: all but
+    `free` pairs, or by default half of them, at most 4000."""
+    board = Board(GameConfig(n=n, b=b, trouble_threshold=n - 1.0, quota=2,
+                             hub_size=1, max_turns=n))
+    rng = Random(seed)
+    total = n * (n - 1) // 2
+    if free is not None:
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        del pairs[:free]
+    else:
+        taken: set[tuple[int, int]] = set()
+        while len(taken) < min(total // 2, 4000):
+            taken.add(tuple(sorted(rng.sample(range(n), 2))))
+        pairs = sorted(taken)
+        rng.shuffle(pairs)
+    for u, v in pairs[:len(pairs) // 4]:
+        board.claim_edge(u, v, MAKER)
+    board.claim_breaker_edges(pairs[len(pairs) // 4:])
+    return board
+
+
+class TestBlockDraws:
+    """RandomBreaker against the one-draw-at-a-time reference loop."""
+
+    def play_both(self, n, b, turns, seed=0, free=None):
+        """Play up to `turns` turns on two equal boards, one per side;
+        returns the number of turns that took the sample fallback."""
+        mine = prefilled_board(n, b, seed, free)
+        ref = prefilled_board(n, b, seed, free)
+        rng, ref_rng = SampleCounting(seed), SampleCounting(seed)
+        pol = RandomBreaker()
+        wide = (n * (n - 1) // 2).bit_length() > 32
+        for turn in range(1, turns + 1):
+            k = min(b, mine.unclaimed_pairs())
+            if not k:
+                break
+            mine.turn = ref.turn = turn
+            sampled = ref_rng.samples
+            assert pol.take_turn(mine, rng, k) == \
+                random_breaker_turn_reference(ref, ref_rng, k), f"turn {turn}"
+            assert rng.samples == ref_rng.samples
+            if ref_rng.samples > sampled or wide:
+                assert rng.getstate() == ref_rng.getstate(), f"turn {turn}"
+        assert mine.fingerprint_fields() == ref.fingerprint_fields()
+        return ref_rng.samples
+
+    @pytest.mark.parametrize("n, b, turns", [
+        (3, 1, 10), (4, 2, 10), (5, 3, 10), (12, 10, 20), (64, 62, 40),
+        (65, 63, 40), (1000, 150, 60), (4000, 150, 40), (92682, 150, 40),
+        (92683, 150, 40),
+    ])
+    def test_turns_match_one_draw_at_a_time(self, n, b, turns):
+        self.play_both(n, b, turns)
+
+    @pytest.mark.parametrize("n, b", [(64, 62), (65, 63), (300, 40)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_fallback_leaves_the_reference_state(self, n, b, seed):
+        # Three full turns, then the last few free pairs, which the
+        # rejection loop cannot find within 64 misses.
+        assert self.play_both(n, b, 5, seed, free=3 * b + 3) > 0
+
+    def test_a_new_rng_starts_a_new_block(self):
+        pol = RandomBreaker()
+        first = pol.take_turn(fresh_board(), Random(5), 4)
+        assert pol.take_turn(fresh_board(), Random(5), 4) == first
 
 
 class TestRandomBreaker:
@@ -209,6 +317,16 @@ class TestScripted:
         with pytest.raises(ReplayError,
                            match=r"turn 3: .*\(3, 2\) already claimed"):
             pol.take_turn(board, Random(0), 3)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_turn_of_the_wrong_size_raises(self, k):
+        board = fresh_board()
+        board.turn = 4
+        pol = ScriptedBreaker([[(2, 3), (4, 5)]])
+        with pytest.raises(ReplayError, match=(
+                f"^turn 4: scripted turn has 2 edges, expected {k}$")):
+            pol.take_turn(board, Random(0), k)
+        assert board.breaker_edges == 0
 
     def test_from_file_keeps_original_policy_name(self, tmp_path):
         log = tmp_path / "game.log"

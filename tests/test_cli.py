@@ -104,6 +104,14 @@ class TestScriptFlag:
         assert capsys.readouterr().out.startswith(
             f"script {saved}: line 2: not JSON")
 
+    def test_script_for_another_bias_is_a_clear_error(self, saved, capsys):
+        capsys.readouterr()
+        assert run_cli("run", "--n", "60", "--seed", "11", "--b", "5",
+                       "--script", str(saved)) == 1
+        assert capsys.readouterr().out == (
+            f"script {saved}: turn 1: scripted turn has 3 edges, "
+            "expected 5\n")
+
     @pytest.mark.parametrize("argv, config", [
         (["run", "--breaker", "scripted"], None),
         (["sweep", "--breaker", "scripted"], None),
@@ -161,6 +169,36 @@ class TestReplayCommand:
         capsys.readouterr()
         assert run_cli(command, str(saved)) == 1
         assert capsys.readouterr().out.startswith(verdict)
+
+    @pytest.mark.parametrize("command", ["replay", "audit"])
+    @pytest.mark.parametrize("key, value, reason", [
+        ("stats", 5, "end stats 5 is not an object"),
+        ("certificate", 5, "end certificate is not null"),
+        ("outcome", 5, "end outcome 5 is not a string"),
+    ])
+    def test_malformed_end_record_is_invalid(self, saved, capsys, command,
+                                             key, value, reason):
+        rewrite(saved, edit_record(-1, lambda r: r["end"].update(
+            {key: value})))
+        lines = len(saved.read_text().splitlines())
+        capsys.readouterr()
+        assert run_cli(command, str(saved)) == 1
+        assert capsys.readouterr().out.startswith(
+            f"INVALID log: line {lines}: {reason}")
+
+    def test_header_bias_above_the_records_is_invalid(self, saved, capsys):
+        rewrite(saved, edit_record(0, lambda r: r["meta"].update(b=5)))
+        capsys.readouterr()
+        assert run_cli("replay", str(saved)) == 1
+        assert capsys.readouterr().out == \
+            "INVALID log: turn 1: Breaker claimed 3 edges, expected 5\n"
+
+    @pytest.mark.parametrize("command", ["replay", "audit"])
+    def test_missing_file_is_invalid(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.jsonl"
+        assert run_cli(command, str(path)) == 1
+        assert capsys.readouterr().out == \
+            f"INVALID log: cannot read {path}: No such file or directory\n"
 
     @pytest.mark.parametrize("case", sorted(ALTERED) + ["crlf-line-ends"])
     def test_altered_bytes_are_a_mismatch(self, saved, capsys, case):

@@ -25,6 +25,8 @@ GOLDEN = {
         "288eb65a5bb2d2fa6e38de79b04548af82dddd52bf02f4f151f6c6782d432f3e",
     ("random", 300, 1):
         "d20f38b20c46ed895f14b5f718eccbcd8f5f9f3caece1042cf1e59be069bd07f",
+    ("random", 1000, 0):
+        "24f7bd93b9b33a0284b2ee3782742dadd1d6d50d8bf06af6c249c7c9fd1752b7",
     ("pairkiller", 200, 0):
         "0982d00883ab81c46b4219d3c6b2a487b25ff2cafc1c9852fad0af8926ecde9b",
     ("pairkiller", 200, 1):
@@ -33,6 +35,8 @@ GOLDEN = {
         "4c563ca89fea94c1682cf690c299f3612edc8f45427c9ae0f3900746b5e45e3c",
     ("pairkiller", 300, 1):
         "520cbcff8a7328bcc5d2d7140659c387a8767240c3f3138da041873aae9903aa",
+    ("pairkiller", 1000, 0):
+        "616bf7aecefbab476238c81f00aeaaad528503a090c5553e3cf4866232be75e7",
     ("maxdanger", 200, 0):
         "333f3a5aadda325c906a36fd8de6b5daa827eecc10f7e0a4711823122350588d",
     ("maxdanger", 200, 1):

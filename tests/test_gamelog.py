@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -31,11 +32,11 @@ def small_cfg(**kw):
 
 
 def sample_log():
-    log = GameLog(meta=config_meta(small_cfg(), "random"))
+    log = GameLog(meta=config_meta(small_cfg(b=2), "random"))
     log.records = [
         MoveRecord(1, "B", [(0, 1), (0, 2)]),
         MoveRecord(1, "M", [(5, 6)], case="P1.C1.1"),
-        MoveRecord(2, "B", [(0, 3)], promoted=[0]),   # degree 3 > 2.0
+        MoveRecord(2, "B", [(0, 3), (7, 8)], promoted=[0]),  # degree 3 > 2.0
         MoveRecord(2, "M", [(0, 4)], case="P1.C2", promoted=[4]),
     ]
     log.end = {"outcome": "Timeout", "reason": "turn limit reached"}
@@ -165,6 +166,35 @@ class TestStrictParse:
         with pytest.raises(LogFormatError, match=f"^{reason}"):
             GameLog.parse("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("stats", 5, "end stats 5 is not an object"),
+        ("stats", [], "end stats [] is not an object"),
+        ("stats", {"growth_events": "3"},
+         "end stats growth_events '3' is not an int"),
+        ("certificate", 5, "end certificate is not null or a list of ints "
+         "in [0, 10)"),
+        ("certificate", [0, 10], "end certificate is not null"),
+        ("certificate", [0, -1], "end certificate is not null"),
+        ("certificate", [0, 1.0], "end certificate is not null"),
+        ("certificate", [True], "end certificate is not null"),
+        ("outcome", 1, "end outcome 1 is not a string"),
+        ("outcome", None, "end outcome None is not a string"),
+        ("fingerprint", ["ab"], "end fingerprint ['ab'] is not a string"),
+    ])
+    def test_malformed_end_record_is_named(self, key, value, reason):
+        lines = sample_log().dumps().splitlines()
+        end = json.loads(lines[5])["end"]
+        lines[5] = json.dumps({"end": {**end, key: value}})
+        with pytest.raises(LogFormatError,
+                           match="^line 6: " + re.escape(reason)):
+            GameLog.parse("\n".join(lines) + "\n")
+
+    def test_engine_end_record_fields_parse(self):
+        log = sample_log()
+        log.end = {"outcome": "MakerWin", "certificate": list(range(10)),
+                   "fingerprint": "ab", "stats": {"growth_events": 3}}
+        assert GameLog.parse(log.dumps()).end == log.end
+
     def test_line_numbers_count_blank_lines(self):
         lines = sample_log().dumps().splitlines()
         lines.insert(1, "")
@@ -233,7 +263,7 @@ class TestApplyLog:
         assert board.troublesome[0]
         assert board.trouble_onset[0] == 2
         assert board.turn == 2
-        assert board.breaker_edges == 3 and board.maker_edges == 2
+        assert board.breaker_edges == 4 and board.maker_edges == 2
 
     def test_replay_is_reproducible(self):
         log = sample_log()
@@ -242,7 +272,7 @@ class TestApplyLog:
 
     def test_missing_promotion_is_rejected(self):
         log = sample_log()
-        log.records[2] = MoveRecord(2, "B", [(0, 3)])  # drops promoted=[0]
+        log.records[2] = MoveRecord(2, "B", [(0, 3), (7, 8)])  # no promoted
         with pytest.raises(LogReplayError, match="turn 2"):
             apply_log(log)
 
@@ -267,6 +297,32 @@ class TestApplyLog:
         log = sample_log()
         log.records[index] = record
         with pytest.raises(LogReplayError, match=reason):
+            apply_log(log)
+
+    @pytest.mark.parametrize("edges", [[(0, 3)], [(0, 3), (7, 8), (4, 9)]])
+    def test_breaker_record_must_claim_b_edges(self, edges):
+        log = sample_log()
+        log.records[2] = MoveRecord(2, "B", edges, promoted=[0])
+        with pytest.raises(LogReplayError, match=(
+                f"^turn 2: Breaker claimed {len(edges)} edges, expected 2$")):
+            apply_log(log)
+
+    def test_last_breaker_turn_claims_every_free_pair(self):
+        # n = 5 has 10 pairs: after two rounds of 3 + 1 only 2 are free.
+        cfg = small_cfg(n=5, b=3, trouble_threshold=4.0, hub_size=2,
+                        max_turns=40)
+        log = GameLog(meta=config_meta(cfg, "random"))
+        log.records = [
+            MoveRecord(1, "B", [(0, 1), (0, 2), (0, 3)]),
+            MoveRecord(1, "M", [(1, 2)]),
+            MoveRecord(2, "B", [(0, 4), (1, 3), (1, 4)]),
+            MoveRecord(2, "M", [(2, 3)]),
+            MoveRecord(3, "B", [(2, 4), (3, 4)]),
+        ]
+        assert apply_log(log).unclaimed_pairs() == 0
+        log.records[4] = MoveRecord(3, "B", [(2, 4)])
+        with pytest.raises(LogReplayError, match=(
+                "^turn 3: Breaker claimed 1 edges, expected 2$")):
             apply_log(log)
 
     def test_bad_player_tag_is_rejected(self):

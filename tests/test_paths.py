@@ -111,6 +111,20 @@ def test_deep_check_flags_path_ids_out_of_order():
     assert ps.deep_check() == ["path ids out of order"]
 
 
+def test_ends_is_compacted_once_dropped_ids_outnumber_live_ones():
+    ps = PathSystem(40, {39})            # singleton paths 0..38
+    original = ps.ends
+    for v in range(1, 20):               # drops ids 1..19; 20 paths remain
+        ps.join(v - 1, v)
+    assert ps.ends is original
+    ps.absorb(38)                        # a 20th dropped id, 19 remain
+    assert ps.ends is not original
+    assert list(ps.ends) == [0] + list(range(20, 38))
+    assert ps.deep_check() == []
+    assert ps.join(19, 20) == 0
+    assert ps.deep_check() == []
+
+
 class TestJoinablePair:
     def board(self, n=10):
         return Board(GameConfig(n=n, b=1, trouble_threshold=5.0,
