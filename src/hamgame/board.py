@@ -10,6 +10,7 @@ audit layers can do set algebra on neighbourhoods.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,12 +35,12 @@ def scale_root(n: int) -> float:
     return n / math.sqrt(math.log(n))
 
 
-def default_bias(n: int, beta: float = 0.25) -> int:
+def default_bias(n: int, beta: float) -> int:
     """Breaker bias floor(beta * n / ln n), at least 1."""
     return max(1, int(beta * n / math.log(n)))
 
 
-def default_hub_size(n: int, coeff: float = 0.15, quota: int = 4) -> int:
+def default_hub_size(n: int, coeff: float, quota: int) -> int:
     # Floor: hubs top up among themselves, so the hub set must carry
     # hub_size*quota directed edges inside C(hub_size, 2) pairs with
     # room for Breaker interference.  3*quota gives capacity ~1.4x need.
@@ -47,13 +48,14 @@ def default_hub_size(n: int, coeff: float = 0.15, quota: int = 4) -> int:
     return min(max(3 * quota, min(size, n // 3)), n - 2)
 
 
-def default_trouble_threshold(n: int, coeff: float = 1.0) -> float:
+def default_trouble_threshold(n: int, coeff: float) -> float:
     return coeff * 2.0 * scale_root(n)
 
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Resolved numeric parameters of one game.
+    """Resolved numeric parameters of one game; the fields, in order, are
+    also the log header's keys.
 
     Attributes:
         n: number of vertices (complete graph).
@@ -64,7 +66,8 @@ class GameConfig:
         hub_size: size of the fixed hub set Maker wires into.
         max_turns: hard stop; exceeding it is a Timeout outcome.
         seed: master seed for this game's RNG streams.
-        audit_level: how much online checking the runner performs.
+        audit_level: how much online checking the runner performs; a
+            string is converted to its AuditLevel.
         limited_only: restrict rotation pivots to settled vertices.
         closure_budget: max path states per rotation search (0 = exact,
             unbounded).  Caps worst-case turn cost; truncated searches
@@ -85,6 +88,7 @@ class GameConfig:
     audit_samples: int = 10_000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "audit_level", AuditLevel(self.audit_level))
         if self.n < 3:
             raise BoardError(f"n must be >= 3, got {self.n}")
         if not (1 <= self.b <= self.n - 2):
@@ -129,6 +133,8 @@ class GameConfig:
         clamped to n-1, which means the same thing (Breaker degree can
         never exceed n-1, so no vertex ever turns troublesome there).
         """
+        if n < 3:
+            raise BoardError(f"n must be >= 3, got {n}")
         if b is None:
             b = default_bias(n, beta)
         tau = min(default_trouble_threshold(n, tau_coeff), float(n - 1))
@@ -140,7 +146,7 @@ class GameConfig:
             hub_size=default_hub_size(n, s0_coeff, quota),
             max_turns=8 * n if max_turns is None else max_turns,
             seed=seed,
-            audit_level=AuditLevel(audit_level),
+            audit_level=audit_level,
             limited_only=limited_only,
             closure_budget=4096 if closure_budget is None else closure_budget,
             audit_samples=audit_samples,
@@ -151,6 +157,12 @@ class GameConfig:
         # break ties toward low indices, so their early blast radius
         # misses the hubs.
         return range(self.n - self.hub_size, self.n)
+
+
+def scaled_defaults() -> dict:
+    """GameConfig.scaled's keyword arguments and their defaults, in order."""
+    params = inspect.signature(GameConfig.scaled).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 class Board:

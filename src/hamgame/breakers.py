@@ -41,7 +41,7 @@ def pair_from_index(n: int, t: int) -> tuple[int, int]:
 
 
 def pairs_from_indices(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pair_from_index of each t in an int64 array, t < 2**32: the same
+    """pair_from_index of each t in an int64 array, t < 2**60: the same
     closed form, its square root in floating point, then corrected to
     the exact row by one integer step either way."""
     r = (n * (n - 1) // 2 - 1) - t
@@ -69,16 +69,18 @@ class BreakerPolicy:
 class RandomBreaker(BreakerPolicy):
     """Uniform unclaimed pairs, without replacement within the turn.
 
-    A draw is `rng.randrange(C(n,2))` decoded by pair_from_index.  While
-    C(n,2) < 2**32, randrange spends one 32-bit word per try, keeps its
-    top C(n,2).bit_length() bits and tries again while they are >= C(n,2);
-    `getrandbits(32*m)` returns m such words, lowest first.  So the draws
-    are decoded in numpy a block of words at a time, and the turns claim
-    exactly what one randrange per draw would.  `rng` then runs up to a
-    block ahead of the draws handed out, so the policy must be its only
-    user for the game; the block is kept across turns for one (rng, n),
-    and `rng` is put back exactly where one draw at a time would have
-    left it before anything else draws from it (the sample fallback).
+    A draw is `rng.randrange(C(n,2))` decoded by pair_from_index.
+    randrange tries `getrandbits(w)`, w = C(n,2).bit_length(), until the
+    value is below C(n,2).  A try spends one 32-bit word and keeps its
+    top w bits while w <= 32; above that it spends two, the low word
+    whole and the top w - 32 bits of the high one.  `getrandbits(32*m)`
+    returns m such words, lowest first.  So the draws are decoded in
+    numpy a block of words at a time, and the turns claim exactly what
+    one randrange per draw would.  `rng` then runs up to a block ahead
+    of the draws handed out, so the policy must be its only user for the
+    game; the block is kept across turns for one (rng, n), and `rng` is
+    put back exactly where one draw at a time would have left it before
+    anything else draws from it (the sample fallback).
     """
 
     name = "random"
@@ -89,38 +91,34 @@ class RandomBreaker(BreakerPolicy):
         self._block = iter(())      # (t, u, v) draws not yet handed out
         self._state = None          # rng state before the block's words
         self._ts = iter(())         # the block's t's, consumed with it
-        self._words = None          # per draw, the words spent through it
+        self._spent = None          # per draw, the tries spent through it
+        self._step = 1              # words per try
 
     def _refill(self, rng: Random, n: int) -> None:
         total = n * (n - 1) // 2
         width = total.bit_length()
-        if width > 32:
-            # randrange takes several words per try: draw one at a time.
-            t = rng.randrange(total)
-            self._state = None
-            self._block = iter(((t, *pair_from_index(n, t)),))
-            return
+        self._step = step = 1 if width <= 32 else 2
         self._state = rng.getstate()
-        words = np.frombuffer(
+        tries = np.frombuffer(
             rng.getrandbits(32 * BLOCK_WORDS).to_bytes(4 * BLOCK_WORDS,
-                                                       "little"), "<u4")
-        r = words >> (32 - width)
+                                                       "little"),
+            f"<u{4 * step}")
+        r = tries >> (32 - width) if step == 1 \
+            else tries & 0xFFFFFFFF | tries >> (96 - width) << 32
         kept = np.flatnonzero(r < total)
         t = r[kept].astype(np.int64)
         u, v = pairs_from_indices(n, t)
-        self._words = kept + 1
+        self._spent = kept + 1
         self._ts = iter(t.tolist())
         self._block = zip(self._ts, u.tolist(), v.tolist())
 
     def _rewind(self, rng: Random) -> None:
         """Put rng just past the last draw handed out and drop the rest
         of the block."""
-        if self._state is not None:
-            handed = len(self._words) - length_hint(self._ts)
-            rng.setstate(self._state)
-            if handed:
-                rng.getrandbits(32 * int(self._words[handed - 1]))
-            self._state = None
+        handed = len(self._spent) - length_hint(self._ts)
+        rng.setstate(self._state)
+        if handed:
+            rng.getrandbits(32 * self._step * int(self._spent[handed - 1]))
         self._block = iter(())
 
     def take_turn(self, board: Board, rng: Random, k: int,
@@ -128,7 +126,6 @@ class RandomBreaker(BreakerPolicy):
         n = board.n
         if rng is not self._rng or n != self._n:
             self._rng, self._n = rng, n
-            self._state = None
             self._block = iter(())
         maker_adj = board.maker_adj
         breaker_adj = board.breaker_adj

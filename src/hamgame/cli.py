@@ -16,8 +16,8 @@ import json
 import sys
 
 from .audit import potential_audit, turn_accounting, verify_hamilton
-from .board import AuditLevel, GameConfig
-from .breakers import ReplayError, ScriptedBreaker
+from .board import AuditLevel, GameConfig, scaled_defaults
+from .breakers import POLICIES, ReplayError, ScriptedBreaker
 from .gamelog import GameLog, LogFormatError, config_from_meta
 from .runner import SweepSpec, run_game, run_sweep
 
@@ -64,36 +64,50 @@ def load_config_file(path: str,
                 raise ValueError(f"{where}: not a flag of {parser.prog}")
             try:
                 values[key] = _coerce(flags[key], raw)
-            except ValueError as err:
+            except (ValueError, argparse.ArgumentTypeError) as err:
                 raise ValueError(f"{where}: {err}") from None
     return values
+
+
+def _n_list(raw: str) -> list[int]:
+    try:
+        return [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated ints, got {raw!r}") from None
+
+
+def _positive_int(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _add_game_flags(p: argparse.ArgumentParser, n_is_list: bool = False) -> None:
     p.add_argument("--config", help="key=value file; flags override it")
     if n_is_list:
-        p.add_argument("--n", type=str, default="100",
+        p.add_argument("--n", type=_n_list, default=[100],
                        help="comma-separated list of n values")
     else:
         p.add_argument("--n", type=int, default=100)
-    p.add_argument("--b", type=int, default=None,
+    # The flags other than --breaker are GameConfig.scaled's keyword
+    # arguments: one not given is not passed on, so it takes scaled's
+    # default.
+    p.add_argument("--b", type=int,
                    help="absolute Breaker bias; default uses --beta")
-    p.add_argument("--beta", type=float, default=0.25,
+    p.add_argument("--beta", type=float,
                    help="bias rule b = floor(beta*n/ln n)")
-    p.add_argument("--breaker", default=None,
-                   choices=["random", "isolator", "maxdanger", "pairkiller"],
+    p.add_argument("--breaker", default=None, choices=list(POLICIES),
                    help="Breaker policy (default: random)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quota", type=int, default=4)
-    p.add_argument("--tau-coeff", type=float, default=1.0)
-    p.add_argument("--s0-coeff", type=float, default=0.15)
-    p.add_argument("--audit-level", default="cheap",
-                   choices=[lvl.value for lvl in AuditLevel])
-    p.add_argument("--max-turns", type=int, default=None)
-    p.add_argument("--limited-only", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--closure-budget", type=int, default=None)
-    p.add_argument("--audit-samples", type=int, default=10_000)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--quota", type=int)
+    p.add_argument("--tau-coeff", type=float)
+    p.add_argument("--s0-coeff", type=float)
+    p.add_argument("--audit-level", choices=[lvl.value for lvl in AuditLevel])
+    p.add_argument("--max-turns", type=int)
+    p.add_argument("--limited-only", action=argparse.BooleanOptionalAction)
+    p.add_argument("--closure-budget", type=int)
+    p.add_argument("--audit-samples", type=int)
 
 
 def _apply_config_file(parser: argparse.ArgumentParser,
@@ -112,18 +126,26 @@ def _apply_config_file(parser: argparse.ArgumentParser,
     return parser.parse_args(argv)
 
 
-def _game_config(args: argparse.Namespace) -> GameConfig:
-    return GameConfig.scaled(
-        args.n, b=args.b, beta=args.beta, tau_coeff=args.tau_coeff,
-        s0_coeff=args.s0_coeff, quota=args.quota, max_turns=args.max_turns,
-        seed=args.seed, audit_level=args.audit_level,
-        limited_only=args.limited_only, closure_budget=args.closure_budget,
-        audit_samples=args.audit_samples,
-    )
+def _scaled_kwargs(args: argparse.Namespace) -> dict:
+    """The GameConfig.scaled keyword arguments the flags (or the config
+    file) set; the rest keep scaled's defaults."""
+    return {name: getattr(args, name) for name in scaled_defaults()
+            if getattr(args, name) is not None}
+
+
+def _game_config(args: argparse.Namespace, n: int) -> GameConfig:
+    """The config for `n` and the flags; a value GameConfig rejects, or a
+    nan or inf coefficient that cannot be floored to a size, ends the
+    command as a usage error."""
+    try:
+        return GameConfig.scaled(n, **_scaled_kwargs(args))
+    except (ValueError, OverflowError) as err:
+        print(f"hamgame {args.command}: error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _game_config(args)
+    cfg = _game_config(args, args.n)
     try:
         policy = ScriptedBreaker.from_file(args.script) if args.script \
             else args.breaker or "random"
@@ -142,16 +164,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    n_values = [int(x) for x in str(args.n).split(",")]
-    spec = SweepSpec(
-        n_values=n_values, seeds=args.seeds,
-        breaker=args.breaker or "random",
-        b=args.b, beta=args.beta, tau_coeff=args.tau_coeff,
-        s0_coeff=args.s0_coeff, quota=args.quota,
-        master_seed=args.seed, audit_level=args.audit_level,
-        limited_only=args.limited_only, closure_budget=args.closure_budget,
-        max_turns=args.max_turns, audit_samples=args.audit_samples,
-    )
+    for n in args.n:                # a bad value stops before any game
+        _game_config(args, n)
+    params = _scaled_kwargs(args)
+    spec = SweepSpec(n_values=args.n, seeds=args.seeds,
+                     breaker=args.breaker or "random",
+                     master_seed=params.pop("seed", 0), params=params)
     rows, _ = run_sweep(spec, out_dir=args.out, keep_logs=args.keep_logs,
                         workers=args.workers)
     wins = sum(1 for r in rows if r["outcome"] == "MakerWin")
@@ -250,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run an (n, seed) grid")
     _add_game_flags(p_sweep, n_is_list=True)
-    p_sweep.add_argument("--seeds", type=int, default=10,
+    p_sweep.add_argument("--seeds", type=_positive_int, default=10,
                          help="games per n value")
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--keep-logs", action="store_true")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .board import BREAKER, MAKER, AuditLevel, Board, BoardError, GameConfig
+from .board import BREAKER, MAKER, Board, BoardError, GameConfig
 
 
 @dataclass
@@ -100,47 +100,37 @@ class LogFormatError(ValueError):
         self.line = line
 
 
+# The log header's key for each GameConfig field; "breaker" follows them.
+HEADER_KEYS = {f.name: "tau" if f.name == "trouble_threshold" else f.name
+               for f in fields(GameConfig)}
+
+# The JSON types a header value may have, by its field's annotation.
+JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+              "AuditLevel": (str,)}
+
+
 def config_meta(cfg: GameConfig, breaker: str) -> dict:
-    return {
-        "n": cfg.n, "b": cfg.b, "tau": cfg.trouble_threshold,
-        "quota": cfg.quota, "hub_size": cfg.hub_size,
-        "max_turns": cfg.max_turns, "seed": cfg.seed,
-        "audit_level": cfg.audit_level.value,
-        "limited_only": cfg.limited_only,
-        "closure_budget": cfg.closure_budget,
-        "audit_samples": cfg.audit_samples,
-        "breaker": breaker,
-    }
-
-
-# The JSON types each header key that config_from_meta reads may have.
-HEADER_TYPES = {
-    "n": (int,), "b": (int,), "tau": (int, float), "quota": (int,),
-    "hub_size": (int,), "max_turns": (int,), "seed": (int,),
-    "audit_level": (str,), "limited_only": (bool,),
-    "closure_budget": (int,), "audit_samples": (int,),
-}
+    """The log header: every GameConfig field in order, then the policy."""
+    meta = {key: getattr(cfg, name) for name, key in HEADER_KEYS.items()}
+    meta["audit_level"] = cfg.audit_level.value
+    meta["breaker"] = breaker
+    return meta
 
 
 def config_from_meta(meta: dict) -> GameConfig:
     """The game's parameters from a log header.  A missing or ill-typed
     key, or a value GameConfig rejects, is a LogFormatError on line 1."""
     meta = {"audit_samples": 10_000, **meta}    # older logs lack the key
-    for key, types in HEADER_TYPES.items():
+    values = {}
+    for f in fields(GameConfig):
+        key = HEADER_KEYS[f.name]
         if key not in meta:
             raise LogFormatError(1, f"header has no {key!r}")
-        if type(meta[key]) not in types:
+        if type(meta[key]) not in JSON_TYPES[f.type]:
             raise LogFormatError(1, f"header {key!r} is {meta[key]!r}")
+        values[f.name] = meta[key]
     try:
-        return GameConfig(
-            n=meta["n"], b=meta["b"], trouble_threshold=meta["tau"],
-            quota=meta["quota"], hub_size=meta["hub_size"],
-            max_turns=meta["max_turns"], seed=meta["seed"],
-            audit_level=AuditLevel(meta["audit_level"]),
-            limited_only=meta["limited_only"],
-            closure_budget=meta["closure_budget"],
-            audit_samples=meta["audit_samples"],
-        )
+        return GameConfig(**values)
     except ValueError as err:
         raise LogFormatError(1, f"header: {err}") from None
 

@@ -177,7 +177,7 @@ class MakerStrategy:
         assert tracked is not None
         tracked, grew = advance_tracked_path(
             self.board.maker_adj, self._pivot_mask(), self.ps.anchor_mask(),
-            tracked, self.board.turn, max_states=self.cfg.closure_budget)
+            tracked, max_states=self.cfg.closure_budget)
         self.tracked = tracked
         if grew:
             self.growth_events += 1
@@ -228,7 +228,6 @@ class MakerStrategy:
         for v in witness:
             tracked.mask |= 1 << v
         tracked.cycle_closed = True
-        tracked.generation = board.turn
         self.booster_turns += 1
         won = len(tracked) == board.n
         return MakerMove(case=label, edge=(tail, head), won=won)
@@ -284,5 +283,5 @@ class MakerStrategy:
         self.phase = 2
         self.phase1_end_turn = self.board.turn - 1
         seed = min(bits(self.ps.settled_mask))
-        self.tracked = TrackedPath.seed(seed, self.board.turn)
+        self.tracked = TrackedPath.seed(seed)
         return self._phase2_action(prefix="P1.C1.2b+")

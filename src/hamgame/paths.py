@@ -84,9 +84,6 @@ class PathSystem:
         a, _ = self.ends[pid]
         return self._walk(a)
 
-    def interior_vertices(self, pid: int) -> list[int]:
-        return self.path_vertices(pid)[1:-1]
-
     def _walk(self, start: int) -> list[int]:
         """Follow neighbor slots from a free end to the other end."""
         seq = [start]

@@ -55,11 +55,10 @@ class TrackedPath:
     order: list[int]
     mask: int
     cycle_closed: bool = False
-    generation: int = 0
 
     @classmethod
-    def seed(cls, v: int, turn: int = 0) -> "TrackedPath":
-        return cls(order=[v], mask=1 << v, generation=turn)
+    def seed(cls, v: int) -> "TrackedPath":
+        return cls(order=[v], mask=1 << v)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -393,7 +392,6 @@ def advance_tracked_path(
     pivot_mask: int,
     anchor_mask: int,
     tracked: TrackedPath,
-    turn: int = 0,
     *,
     max_states: int = 0,
 ) -> tuple[TrackedPath, bool]:
@@ -485,6 +483,4 @@ def advance_tracked_path(
     tracked.order = order
     tracked.mask = mask
     tracked.cycle_closed = closed
-    if grew_total:
-        tracked.generation = turn
     return tracked, grew_total

@@ -13,11 +13,11 @@ import csv
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from random import Random
 
-from .board import Board, GameConfig, AuditLevel, bits
+from .board import (Board, GameConfig, AuditLevel, bits, scale_root,
+                    scaled_defaults)
 from .breakers import BreakerPolicy, make_policy
 from .gamelog import GameLog, MoveRecord, board_fingerprint, config_meta
 from .maker import MakerStrategy
@@ -272,20 +272,15 @@ CSV_COLUMNS = [
 
 @dataclass
 class SweepSpec:
+    """An (n, seed) grid of games against one Breaker policy.  `params`
+    holds GameConfig.scaled keyword arguments other than `seed`; each
+    game's seed is mixed from `master_seed` and its cell."""
+
     n_values: list[int]
     seeds: int
     breaker: str = "random"
-    b: int | None = None            # absolute bias; None = use beta rule
-    beta: float = 0.25
-    tau_coeff: float = 1.0
-    s0_coeff: float = 0.15
-    quota: int = 4
     master_seed: int = 0
-    audit_level: str = "cheap"
-    limited_only: bool = True
-    closure_budget: int | None = None
-    max_turns: int | None = None
-    audit_samples: int = 10_000
+    params: dict = field(default_factory=dict)
 
     def cells(self):
         for n in self.n_values:
@@ -293,27 +288,16 @@ class SweepSpec:
                 yield n, idx
 
     def config_for(self, n: int, idx: int) -> GameConfig:
-        return GameConfig.scaled(
-            n, b=self.b, beta=self.beta, tau_coeff=self.tau_coeff,
-            s0_coeff=self.s0_coeff, quota=self.quota,
-            seed=hash_seed(self.master_seed, n, self.b or 0, idx),
-            audit_level=self.audit_level, limited_only=self.limited_only,
-            closure_budget=self.closure_budget, max_turns=self.max_turns,
-            audit_samples=self.audit_samples,
-        )
+        seed = hash_seed(self.master_seed, n, self.params.get("b") or 0, idx)
+        return GameConfig.scaled(n, seed=seed, **self.params)
 
     def manifest(self) -> dict:
+        params = {**scaled_defaults(), **self.params}
+        del params["seed"]
         return {
             "n_values": self.n_values, "seeds": self.seeds,
-            "breaker": self.breaker, "b": self.b, "beta": self.beta,
-            "tau_coeff": self.tau_coeff, "s0_coeff": self.s0_coeff,
-            "quota": self.quota, "master_seed": self.master_seed,
-            "audit_level": self.audit_level,
-            "limited_only": self.limited_only,
-            "closure_budget": self.closure_budget,
-            "max_turns": self.max_turns,
-            "audit_samples": self.audit_samples,
-            "columns": CSV_COLUMNS,
+            "breaker": self.breaker, "master_seed": self.master_seed,
+            **params, "columns": CSV_COLUMNS,
         }
 
 
@@ -323,13 +307,17 @@ def hash_seed(master: int, n: int, b: int, idx: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sweep_row(result: GameResult, n: int, b: int, idx: int, breaker: str,
-              expansion_rate: float | None = None,
-              connectivity_rate: float | None = None) -> dict:
+def sweep_row(result: GameResult, idx: int) -> dict:
+    """The CSV row of cell `idx`'s game; n, b and the policy come from
+    its log header."""
+    meta = result.log.meta
+    n = meta["n"]
     overhead = result.maker_turns - n
-    norm = overhead / (n / math.sqrt(math.log(n)))
+    norm = overhead / scale_root(n)
+    expansion_rate = result.stats.get("expansion_pass_rate")
+    connectivity_rate = result.stats.get("connectivity_pass_rate")
     return {
-        "n": n, "b": b, "seed": idx, "breaker": breaker,
+        "n": n, "b": meta["b"], "seed": idx, "breaker": meta["breaker"],
         "outcome": result.outcome,
         "maker_turns": result.maker_turns,
         "overhead": overhead,
@@ -372,11 +360,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None,
             results = list(pool.map(_sweep_cell, jobs))
     else:
         results = [_sweep_cell(job) for job in jobs]
-    rows = []
-    for (n, idx), (cfg, _), result in zip(cells, jobs, results):
-        rows.append(sweep_row(result, n, cfg.b, idx, spec.breaker,
-                              result.stats.get("expansion_pass_rate"),
-                              result.stats.get("connectivity_pass_rate")))
+    rows = [sweep_row(result, idx)
+            for (_, idx), result in zip(cells, results)]
     if out_dir is not None:
         import os
 

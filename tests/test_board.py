@@ -52,7 +52,7 @@ class TestConfig:
 
         for n in (500, 1000, 2000, 4000):
             assert GameConfig.scaled(n).b == int(0.25 * n / math.log(n))
-        assert default_bias(10) >= 1
+        assert default_bias(10, 0.25) >= 1
 
     def test_hub_sizing_supports_internal_wiring(self):
         # Each hub needs quota out-edges aimed at other hubs.

@@ -1,11 +1,14 @@
 """Command-line front end, driven through main(argv)."""
 
+import inspect
 import json
 import re
 
 import pytest
 
-from hamgame.cli import load_config_file, main
+from hamgame.board import GameConfig
+from hamgame.cli import build_parser, load_config_file, main
+from hamgame.runner import run_game
 
 
 def run_cli(*argv):
@@ -38,6 +41,70 @@ class TestRun:
         rc = run_cli("run", "--n", "60", "--seed", "11", "--b", "5")
         assert rc == 0
         assert "b=5" in capsys.readouterr().out
+
+
+class TestFlagsFollowScaled:
+    def test_every_scaled_keyword_is_a_flag(self):
+        params = inspect.signature(GameConfig.scaled).parameters.values()
+        keywords = {p.name for p in params
+                    if p.kind is p.KEYWORD_ONLY and p.name != "seed"}
+        for command in ("run", "sweep"):
+            parser = build_parser().subcommand_parsers[command]
+            assert keywords <= {a.dest for a in parser._actions}, command
+
+    def test_unset_flags_take_scaleds_defaults(self, tmp_path):
+        out = tmp_path / "game.jsonl"
+        assert run_cli("run", "--n", "60", "--seed", "11",
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == \
+            run_game(GameConfig.scaled(60, seed=11)).log.dumps().encode()
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv, error", [
+        (["run", "--n", "2"], "run: error: n must be >= 3, got 2"),
+        (["run", "--n", "1"], "run: error: n must be >= 3, got 1"),
+        (["run", "--b", "0"], "run: error: b must be in [1, n-2], got 0"),
+        (["run", "--quota", "0"], "run: error: quota must be >= 1, got 0"),
+        (["run", "--closure-budget", "-1"],
+         "run: error: closure_budget must be >= 0, got -1"),
+        (["run", "--beta", "nan"],
+         "run: error: cannot convert float NaN to integer"),
+        (["run", "--s0-coeff", "inf"],
+         "run: error: cannot convert float infinity to integer"),
+        (["sweep", "--n", "40,2"], "sweep: error: n must be >= 3, got 2"),
+        (["sweep", "--n", "40", "--max-turns", "39"],
+         "sweep: error: max_turns must be >= n, got 39"),
+    ])
+    def test_value_gameconfig_rejects_is_one_line(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hamgame {error}\n"
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("n", "40,x", "expected comma-separated ints, got '40,x'"),
+        ("n", "40,,60", "expected comma-separated ints, got '40,,60'"),
+        ("seeds", "-1", "expected an int >= 1, got '-1'"),
+        ("seeds", "0", "expected an int >= 1, got '0'"),
+        ("seeds", "two", "expected an int >= 1, got 'two'"),
+    ])
+    def test_sweep_flag_is_checked_when_parsed(self, tmp_path, capsys, flag,
+                                               value, reason):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", f"--{flag}", value)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --{flag}: {reason}" in captured.err
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--config", str(cfg))
+        assert exc.value.code == 2
+        assert f"{cfg}:1: {flag}: {reason}" in capsys.readouterr().err
 
 
 def rewrite(path, edit, newline="\n"):

@@ -7,6 +7,7 @@ comparison on the fly.
 
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -285,25 +286,23 @@ class TestAdvance:
     def test_stuck_path_stays_put(self):
         adj = masks([{1}, {0, 2}, {1}])
         tp = TrackedPath(order=[0, 1, 2], mask=0b111)
-        tp, grew = advance_tracked_path(adj, 0b111, 0b111, tp, turn=9)
+        tp, grew = advance_tracked_path(adj, 0b111, 0b111, tp)
         assert not grew
         assert tp.order == [0, 1, 2]
-        assert tp.generation == 0  # untouched when nothing grew
 
     def test_greedy_extension_from_either_end(self):
         adj = masks([{1}, {0, 2}, {1, 3}, {2, 4}, {3}])
         tp = TrackedPath(order=[1, 2], mask=0b110)
-        tp, grew = advance_tracked_path(adj, 0, 0, tp, turn=3)
+        tp, grew = advance_tracked_path(adj, 0, 0, tp)
         assert grew
         assert set(tp.order) == {0, 1, 2, 3, 4}
-        assert tp.generation == 3
 
     def test_rotation_unlocks_blocked_extension(self):
         # Ends 0 and 3 are stuck; rotating at pivot 1 exposes endpoint 2,
         # which extends through 4 to 5.  Frozen: 0-1-3-2-4-5.
         adj = masks([{1}, {0, 2, 3}, {1, 3, 4}, {2, 1}, {2, 5}, {4}])
         tp = TrackedPath(order=[0, 1, 2, 3], mask=0b1111)
-        tp, grew = advance_tracked_path(adj, 0b1111, 0b1111, tp, turn=7)
+        tp, grew = advance_tracked_path(adj, 0b1111, 0b1111, tp)
         assert grew
         assert tp.order == [0, 1, 3, 2, 4, 5]
         assert len(tp.order) == longest_path_through(
@@ -318,14 +317,13 @@ class TestAdvance:
                     {5, 7}, {6}]
         adj = masks(adj_sets)
         tp = TrackedPath(order=[0, 1, 2, 3], mask=0b1111, cycle_closed=True)
-        tp, grew = advance_tracked_path(adj, 0b1111, 0b1111, tp, turn=11)
+        tp, grew = advance_tracked_path(adj, 0b1111, 0b1111, tp)
         assert grew
         assert not tp.cycle_closed
         assert set(tp.order) == set(range(8))
         assert len(tp.order) == longest_path_through(adj_sets, 0) == 8
         for a, b in zip(tp.order, tp.order[1:]):
             assert adj[a] >> b & 1
-        assert tp.generation == 11
 
     def test_spanning_closed_cycle_is_left_alone(self):
         adj = masks([{1, 3}, {0, 2}, {1, 3}, {2, 0}])
@@ -352,11 +350,10 @@ class TestAdvance:
 
 class TestSeed:
     def test_seed_is_a_one_vertex_path(self):
-        tp = TrackedPath.seed(7, turn=42)
+        tp = TrackedPath.seed(7)
         assert tp.order == [7]
         assert tp.mask == 1 << 7
         assert not tp.cycle_closed
-        assert tp.generation == 42
         assert len(tp) == 1
 
 
@@ -391,6 +388,38 @@ class TestOracleEquivalence:
         want = endpoint_pairs_bruteforce(adj_sets, pivots, base)
         assert got == want
         assert not truncated
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=120, deadline=None)
+    def test_closing_pair_matches_bruteforce(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 9)
+        adj_sets, base = random_maker_graph(rng, n, rng.randint(0, 4))
+        pivots = random_pivots(rng, n)
+        hubs = {v for v in range(n) if rng.random() < 0.6}
+        free = [(a, c) for a, c in combinations(range(n), 2)
+                if c not in adj_sets[a]]
+        breaker = set(rng.sample(free, rng.randint(0, len(free))))
+        breaker_sets = [{c for a, c in breaker if a == v}
+                        | {a for a, c in breaker if c == v} for v in range(n)]
+        hit, truncated = find_closing_pair(
+            masks(adj_sets), masks(breaker_sets), mask_of(pivots),
+            mask_of(hubs), base)
+        assert not truncated
+        want = min((pair for pair in endpoint_pairs_bruteforce(
+                        adj_sets, pivots, base)
+                    if pair[0] != pair[1] and set(pair) <= hubs
+                    and pair[1] not in adj_sets[pair[0]]
+                    and pair not in breaker), default=None)
+        if want is None:
+            assert hit is None
+            return
+        u, w, witness = hit
+        assert (u, w) == want
+        assert {witness[0], witness[-1]} == {u, w}
+        assert sorted(witness) == sorted(base)
+        for a, c in zip(witness, witness[1:]):
+            assert c in adj_sets[a]
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

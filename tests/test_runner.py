@@ -210,9 +210,8 @@ class TestSweep:
     def spec(self, **kw):
         kw.setdefault("n_values", [40, 60])
         kw.setdefault("seeds", 2)
-        kw.setdefault("audit_samples", 200)
         kw.setdefault("master_seed", 4)
-        return SweepSpec(**kw)
+        return SweepSpec(params={"audit_samples": 200}, **kw)
 
     def test_rows_cover_the_grid_in_order(self):
         spec = self.spec()
