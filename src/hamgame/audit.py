@@ -15,8 +15,8 @@ from fractions import Fraction
 from random import Random
 
 from .board import Board, bits
-from .gamelog import GameLog
-from .paths import PathSystem
+from .gamelog import GameLog, LogReplayError
+from .paths import PathSystem, PathSystemError
 
 
 # -- expansion -------------------------------------------------------------
@@ -435,7 +435,9 @@ def turn_accounting(log: GameLog) -> dict:
     Replays the settled-set/path-family evolution using the logged case
     labels and promotions, then evaluates the accounting bounds:
     troublesome count vs degree-sum pigeonhole, growth/booster turns vs
-    |S| + 3|F|.
+    |S| + 3|F|.  A record the path family cannot follow (a join of two
+    vertices that are not endpoints of different paths, say) is a
+    LogReplayError naming its turn.
     """
     n = log.meta["n"]
     tau = log.meta["tau"]
@@ -448,20 +450,23 @@ def turn_accounting(log: GameLog) -> dict:
     max_paths = ps.path_count()
     booster_turns = 0
     for rec in log.records:
-        if rec.player == "B":
-            breaker_edges += len(rec.edges)
-            for v in rec.promoted:
-                ps.absorb(v)
-        else:
-            maker_turns += 1
-            if rec.case:
-                case_counts[rec.case] = case_counts.get(rec.case, 0) + 1
-                if "C2" in rec.case and rec.edges:
-                    ps.absorb(rec.edges[0][1])
-                elif rec.case == "P1.C1.2a" and rec.edges:
-                    ps.join(*rec.edges[0])
-                if "C1.2b(i)" in rec.case and rec.edges:
-                    booster_turns += 1
+        try:
+            if rec.player == "B":
+                breaker_edges += len(rec.edges)
+                for v in rec.promoted:
+                    ps.absorb(v)
+            else:
+                maker_turns += 1
+                if rec.case:
+                    case_counts[rec.case] = case_counts.get(rec.case, 0) + 1
+                    if "C2" in rec.case and rec.edges:
+                        ps.absorb(rec.edges[0][1])
+                    elif rec.case == "P1.C1.2a" and rec.edges:
+                        ps.join(*rec.edges[0])
+                    if "C1.2b(i)" in rec.case and rec.edges:
+                        booster_turns += 1
+        except PathSystemError as err:
+            raise LogReplayError(rec.turn, str(err)) from None
         max_settled = max(max_settled, len(ps.settled))
         max_paths = max(max_paths, ps.path_count())
     trouble_total = sum(

@@ -371,7 +371,7 @@ class ScriptedBreaker(BreakerPolicy):
             board.claim_breaker_edges(moves)
         except BoardError as err:
             raise ReplayError(board.turn, f"scripted {err}") from None
-        # The rerun's log shares the script's list: a copy per turn would
+        # The rerun's log shares the script's EdgeList: a copy per turn would
         # be a long-lived heap block between the rotation searches'
         # short-lived ones, and such blocks make the peak RSS of a replay
         # depend on where the allocator happened to put them.

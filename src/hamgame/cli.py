@@ -12,13 +12,14 @@ game runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .audit import potential_audit, turn_accounting, verify_hamilton
 from .board import AuditLevel, GameConfig, scaled_defaults
 from .breakers import POLICIES, ReplayError, ScriptedBreaker
-from .gamelog import GameLog, LogFormatError, config_from_meta
+from .gamelog import GameLog, LogFormatError, LogReplayError, config_from_meta
 from .runner import SweepSpec, run_game, run_sweep
 
 _TRUE = ("1", "true", "yes", "on")
@@ -144,17 +145,30 @@ def _game_config(args: argparse.Namespace, n: int) -> GameConfig:
         raise SystemExit(2) from None
 
 
+def _open_out(path: str | None):
+    """`path` opened for writing (a null context for no path).  An
+    unwritable path ends the command with exit 1 before any work."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        print(f"cannot write {path}: {err.strerror or err}")
+        raise SystemExit(1) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _game_config(args, args.n)
-    try:
-        policy = ScriptedBreaker.from_file(args.script) if args.script \
-            else args.breaker or "random"
-        result = run_game(cfg, policy)
-    except (LogFormatError, ReplayError) as err:
-        print(f"script {args.script}: {err}")
-        return 1
-    if args.out:
-        result.log.write(args.out)
+    with _open_out(args.out) as out:
+        try:
+            policy = ScriptedBreaker.from_file(args.script) if args.script \
+                else args.breaker or "random"
+            result = run_game(cfg, policy)
+        except (LogFormatError, ReplayError) as err:
+            print(f"script {args.script}: {err}")
+            return 1
+        if out is not None:
+            out.write(result.log.dumps())
     line = f"{result.outcome} n={cfg.n} b={cfg.b} turns={result.maker_turns}"
     if result.reason:
         line += f" reason={result.reason!r}"
@@ -179,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from .gamelog import LogReplayError, apply_log, board_fingerprint
+    from .gamelog import apply_log, board_fingerprint
 
     try:
         # Binary, so the rerun is compared with the file's bytes as they are.
@@ -216,39 +230,40 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        log = GameLog.load(args.log)
-        config_from_meta(log.meta)
-    except OSError as err:
-        print(f"INVALID log: cannot read {args.log}: {err.strerror or err}")
-        return 1
-    except LogFormatError as err:
-        print(f"INVALID log: {err}")
-        return 1
-    failures = 0
-    outcome = (log.end or {}).get("outcome")
-    print(f"outcome: {outcome}")
-    if outcome == "MakerWin":
-        ok = verify_hamilton(log)
-        print(f"hamilton-cycle: {'PASS' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    runs = potential_audit(log)
-    bad = [r for r in runs if not r.ok]
-    print(f"potential: {len(runs)} runs, "
-          f"{'PASS' if not bad else f'{len(bad)} FAIL'}")
-    failures += len(bad)
-    acct = turn_accounting(log)
-    for key in ("trouble_ok", "booster_ok", "case_sum_ok", "growth_ok"):
-        if key in acct:
-            print(f"{key}: {'PASS' if acct[key] else 'FAIL'}")
-            failures += 0 if acct[key] else 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_out(args.out) as out:
+        try:
+            log = GameLog.load(args.log)
+            config_from_meta(log.meta)
+            runs = potential_audit(log)
+            acct = turn_accounting(log)
+        except OSError as err:
+            print(f"INVALID log: cannot read {args.log}: "
+                  f"{err.strerror or err}")
+            return 1
+        except (LogFormatError, LogReplayError) as err:
+            print(f"INVALID log: {err}")
+            return 1
+        failures = 0
+        outcome = (log.end or {}).get("outcome")
+        print(f"outcome: {outcome}")
+        if outcome == "MakerWin":
+            ok = verify_hamilton(log)
+            print(f"hamilton-cycle: {'PASS' if ok else 'FAIL'}")
+            failures += 0 if ok else 1
+        bad = [r for r in runs if not r.ok]
+        print(f"potential: {len(runs)} runs, "
+              f"{'PASS' if not bad else f'{len(bad)} FAIL'}")
+        failures += len(bad)
+        for key in ("trouble_ok", "booster_ok", "case_sum_ok", "growth_ok"):
+            if key in acct:
+                print(f"{key}: {'PASS' if acct[key] else 'FAIL'}")
+                failures += 0 if acct[key] else 1
+        if out is not None:
             json.dump({"accounting": acct,
                        "potential_runs": len(runs),
                        "potential_failures": len(bad)},
-                      fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+                      out, indent=2, sort_keys=True, default=str)
+            out.write("\n")
     return 0 if failures == 0 else 1
 
 

@@ -8,31 +8,114 @@ construction so identical games serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import struct
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import eq
 
 import numpy as np
 
 from .board import BREAKER, MAKER, Board, BoardError, GameConfig
 
+SEPARATORS = (",", ":")
 
-@dataclass
+
+class EdgeList(Sequence):
+    """A record's edges, held as one run of 32-bit vertex ids u0, v0, u1,
+    v1, ... (8 bytes per edge, where a tuple of two ints takes ~120).
+
+    len() counts edges; iterating or indexing gives (u, v) tuples, and an
+    EdgeList equals any sequence of the same pairs.  It is never changed
+    in place, so records may share one.
+    """
+
+    __slots__ = ("flat",)
+
+    def __init__(self, edges: Sequence[tuple[int, int]] = ()) -> None:
+        vertices = tuple(chain.from_iterable(edges))
+        if len(vertices) != 2 * len(edges):
+            raise ValueError(f"edges {edges!r} are not (u, v) pairs")
+        self.flat = pack_vertices(vertices)
+
+    @classmethod
+    def from_vertices(cls, vertices: Sequence[int]) -> "EdgeList":
+        """The edges (vertices[0], vertices[1]), (vertices[2], ...)."""
+        edges = cls.__new__(cls)
+        edges.flat = pack_vertices(vertices)
+        return edges
+
+    def __len__(self) -> int:
+        return len(self.flat) // 8
+
+    def __iter__(self):
+        return struct.iter_unpack("=2I", self.flat)
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        return struct.unpack_from("=2I", self.flat, 8 * range(len(self))[i])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeList):
+            try:
+                other = EdgeList(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.flat == other.flat
+
+    def __repr__(self) -> str:
+        return f"EdgeList({list(self)!r})"
+
+
+def pack_vertices(vertices: Sequence[int]) -> bytes:
+    try:
+        return struct.pack(f"={len(vertices)}I", *vertices)
+    except struct.error:
+        raise ValueError(f"vertex ids {vertices!r} are not ints in "
+                         f"[0, 2**32)") from None
+
+
+def checked_vertices(raw: list, n: int) -> list[int] | None:
+    """The vertices u0, v0, u1, v1, ... of `raw` if every entry is a
+    [u, v] list of two distinct ints in [0, n), else None.  Each check is
+    one pass in C over the parsed lists."""
+    if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}):
+        return None
+    vertices = list(chain.from_iterable(raw))
+    pairs = iter(vertices)
+    if vertices and not (set(map(type, vertices)) == {int}
+                         and min(vertices) >= 0 and max(vertices) < n
+                         and not any(map(eq, pairs, pairs))):
+        return None
+    return vertices
+
+
+@dataclass(slots=True)
 class MoveRecord:
+    """One half-move.  The constructor takes any sequence of (u, v) pairs
+    and any iterable of promoted vertices; a record keeps them as an
+    EdgeList and a tuple, and its case label interned, so a long log
+    costs little more than its vertex ids."""
+
     turn: int
     player: str                       # "B" or "M"
-    edges: list[tuple[int, int]]
+    edges: EdgeList
     case: str | None = None           # Maker records only
-    promoted: list[int] = field(default_factory=list)
+    promoted: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.edges) is not EdgeList:
+            self.edges = EdgeList(self.edges)
+        if self.case is not None:
+            self.case = sys.intern(self.case)
+        self.promoted = tuple(self.promoted)
 
     def to_json(self) -> str:
-        body: dict = {"turn": self.turn, "player": self.player,
-                      "edges": [[u, v] for u, v in self.edges]}
-        if self.case is not None:
-            body["case"] = self.case
-        if self.promoted:
-            body["promoted"] = self.promoted
-        return json.dumps(body, separators=(",", ":"))
+        return record_lines([self])[0]
 
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "MoveRecord":
@@ -50,15 +133,20 @@ class MoveRecord:
             raise ValueError(f"player {player!r} is not \"B\" or \"M\"")
         if type(raw) is not list:
             raise ValueError(f"edges {raw!r} is not a list")
-        try:
-            edges = [(u, v) for u, v in raw]
-        except (TypeError, ValueError):
-            raise ValueError("edges is not a list of [u, v] pairs") from None
-        for u, v in edges:
-            if not (type(u) is int and type(v) is int and u != v
-                    and 0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge [{u!r}, {v!r}] is not two distinct "
-                                 f"ints in [0, {n})")
+        vertices = checked_vertices(raw, n)
+        if vertices is None:
+            # Name the first bad edge, as the per-edge checks always have.
+            try:
+                edges = [(u, v) for u, v in raw]
+            except (TypeError, ValueError):
+                raise ValueError("edges is not a list of [u, v] pairs") \
+                    from None
+            for u, v in edges:
+                if not (type(u) is int and type(v) is int and u != v
+                        and 0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge [{u!r}, {v!r}] is not two "
+                                     f"distinct ints in [0, {n})")
+            vertices = list(chain.from_iterable(edges))
         case = obj.get("case")
         if not (case is None or type(case) is str):
             raise ValueError(f"case {case!r} is not a string")
@@ -67,7 +155,62 @@ class MoveRecord:
                 type(v) is int and 0 <= v < n for v in promoted):
             raise ValueError(f"promoted {promoted!r} is not a list of ints "
                              f"in [0, {n})")
-        return cls(turn, player, edges, case, promoted)
+        return cls(turn, player, EdgeList.from_vertices(vertices), case,
+                   promoted)
+
+
+@functools.lru_cache(maxsize=4)
+def edge_text_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each vertex id x below `size`, the text that opens an edge at
+    x, "[x,", and the text that closes one, "x],", each padded with zero
+    bytes to whole 8-byte words: a (size, 2, words) uint64 array.  Also
+    len("[x,") for each x."""
+    ids = [b"%d" % x for x in range(size)]
+    width = -(-(len(ids[-1]) + 2) // 8) * 8
+    text = np.array([(b"[" + x + b",", x + b"],") for x in ids],
+                    dtype=f"S{width}")
+    lengths = np.array([len(x) + 2 for x in ids], np.uint8)
+    text.flags.writeable = lengths.flags.writeable = False   # shared
+    return text.view(np.uint64).reshape(size, 2, width // 8), lengths
+
+
+def edge_texts(records: Sequence[MoveRecord]) -> list[str]:
+    """Each record's edges as json.dumps writes them between the list's
+    brackets, "[u,v],[u,v]", formatted for all records at once."""
+    vertices = np.frombuffer(b"".join(rec.edges.flat for rec in records),
+                             np.uint32)
+    if not vertices.size:
+        return [""] * len(records)
+    # Sized by a power of two, so every log of one n shares a table.
+    table, lengths = edge_text_table(1 << int(vertices.max()).bit_length())
+    u, v = vertices[0::2], vertices[1::2]
+    cells = np.stack((table[u, 0], table[v, 1]), axis=1).view(np.uint8)
+    text = cells[cells != 0].tobytes().decode("ascii")
+    # Where each edge's text starts, then where each record's starts.
+    starts = np.zeros(len(u) + 1, np.int64)
+    np.cumsum(lengths[u] + lengths[v], out=starts[1:])
+    bounds = starts[np.cumsum([0] + [len(rec.edges) for rec in records])]
+    bounds = bounds.tolist()
+    # Each edge's text ends in a comma; the last one's is dropped.
+    return [text[a:b - 1] if b > a else ""
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def record_lines(records: Sequence[MoveRecord]) -> list[str]:
+    """The log line of each record, byte for byte what json.dumps writes
+    for {"turn", "player", "edges", ["case"], ["promoted"]} with no
+    spaces."""
+    lines = []
+    for rec, edges in zip(records, edge_texts(records)):
+        line = (f'{{"turn":{rec.turn},"player":'
+                f'{encode_basestring_ascii(rec.player)},"edges":[{edges}]')
+        if rec.case is not None:
+            line += ',"case":' + encode_basestring_ascii(rec.case)
+        if rec.promoted:
+            line += ',"promoted":' + json.dumps(rec.promoted,
+                                                separators=SEPARATORS)
+        lines.append(line + "}")
+    return lines
 
 
 RECORD_KEYS = frozenset(("turn", "player", "edges", "case", "promoted"))
@@ -157,12 +300,14 @@ def board_fingerprint(board: Board) -> str:
         bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
         return bits.reshape(len(rows), 8 * width)[:, :n]
 
+    # The repr of a cell byte 0, 1 or 2 is 4 characters: \x00, \x01, \x02.
+    escapes = np.frombuffer(rb"\x00\x01\x02", np.uint32)
     h = hashlib.sha256(b"b'")
     for lo in range(0, n, FINGERPRINT_CHUNK_ROWS):
         hi = lo + FINGERPRINT_CHUNK_ROWS
         chunk = (MAKER * cells(maker_rows[lo:hi])
                  + BREAKER * cells(breaker_rows[lo:hi]))
-        h.update(repr(chunk.tobytes())[2:-1].encode())
+        h.update(escapes[chunk])
     h.update(b"'|")
     for part in rest:
         h.update(repr(part).encode())
@@ -177,10 +322,10 @@ class GameLog:
     end: dict | None = None
 
     def dumps(self) -> str:
-        lines = [json.dumps({"meta": self.meta}, separators=(",", ":"))]
-        lines.extend(r.to_json() for r in self.records)
+        lines = [json.dumps({"meta": self.meta}, separators=SEPARATORS)]
+        lines.extend(record_lines(self.records))
         if self.end is not None:
-            lines.append(json.dumps({"end": self.end}, separators=(",", ":")))
+            lines.append(json.dumps({"end": self.end}, separators=SEPARATORS))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:

@@ -9,6 +9,7 @@ point is an independent route to the same answers.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import deque
 from itertools import combinations
 from math import isqrt
@@ -220,3 +221,25 @@ def random_breaker_turn_reference(board, rng, k: int) -> list[tuple[int, int]]:
                 return out + tail
     board.claim_breaker_edges(out)
     return out
+
+
+def record_json_reference(rec) -> str:
+    """A move record's log line as first defined: json.dumps of a dict
+    holding turn, player and edges, then case and promoted when set."""
+    body = {"turn": rec.turn, "player": rec.player,
+            "edges": [[u, v] for u, v in rec.edges]}
+    if rec.case is not None:
+        body["case"] = rec.case
+    if rec.promoted:
+        body["promoted"] = list(rec.promoted)
+    return json.dumps(body, separators=(",", ":"))
+
+
+def log_dumps_reference(log) -> str:
+    """A whole log's text as first defined: header, records and end line,
+    each by json.dumps, every line ended by a newline."""
+    lines = [json.dumps({"meta": log.meta}, separators=(",", ":"))]
+    lines.extend(record_json_reference(rec) for rec in log.records)
+    if log.end is not None:
+        lines.append(json.dumps({"end": log.end}, separators=(",", ":")))
+    return "\n".join(lines) + "\n"

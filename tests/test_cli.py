@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from hamgame import cli
 from hamgame.board import GameConfig
 from hamgame.cli import build_parser, load_config_file, main
 from hamgame.runner import run_game
@@ -315,6 +316,40 @@ class TestAuditCommand:
         body = json.loads(report.read_text())
         assert body["potential_failures"] == 0
         assert body["accounting"]["case_sum_ok"] is True
+
+
+    @pytest.mark.parametrize("edit, verdict", [
+        # Vertex 3 settles at turn 1, so a later join cannot use it.
+        (edit_record(1, lambda r: r.update(promoted=[3, 3])),
+         "turn 51: join(33, 3): not endpoints of two paths"),
+        (edit_record(2, lambda r: r.update(case="P1.C1.2a")),
+         "turn 1: join(48, 51): not endpoints of two paths"),
+    ], ids=["breaker-promotes-twice", "join-of-non-endpoints"])
+    def test_records_that_contradict_each_other_are_invalid(
+            self, saved, capsys, edit, verdict):
+        rewrite(saved, edit)
+        capsys.readouterr()
+        assert run_cli("audit", str(saved)) == 1
+        assert capsys.readouterr().out == f"INVALID log: {verdict}\n"
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_unwritable_path_is_one_line(self, saved, tmp_path, capsys,
+                                         monkeypatch, command):
+        out = tmp_path / "missing" / "x.json"
+        # Nothing may run before the path is found unwritable.
+        for name in ("run_game", "potential_audit", "GameLog"):
+            monkeypatch.setattr(cli, name, None)
+        argv = ["run", "--n", "60", "--seed", "11"] if command == "run" \
+            else ["audit", str(saved)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == \
+            f"cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
 
 
 class TestSweepCommand:

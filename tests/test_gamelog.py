@@ -1,14 +1,17 @@
 """Log serialization, config meta round trip, replay verification."""
 
+import gc
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from hamgame.board import BREAKER, MAKER, AuditLevel, Board, GameConfig
 from hamgame.gamelog import (
     FINGERPRINT_CHUNK_ROWS,
+    EdgeList,
     GameLog,
     LogFormatError,
     LogReplayError,
@@ -18,7 +21,12 @@ from hamgame.gamelog import (
     config_from_meta,
     config_meta,
 )
-from oracles import board_fingerprint_reference
+from hamgame.runner import run_game
+from oracles import (
+    board_fingerprint_reference,
+    log_dumps_reference,
+    record_json_reference,
+)
 
 
 def small_cfg(**kw):
@@ -57,6 +65,104 @@ class TestMoveRecord:
         a = MoveRecord(2, "M", [(4, 7)], case="P1.C1.1")
         b = MoveRecord(2, "M", [(4, 7)], case="P1.C1.1")
         assert a.to_json() == b.to_json()
+
+
+class TestEdgeList:
+    def test_len_counts_edges_and_items_are_pairs(self):
+        edges = EdgeList([(0, 1), (7, 3), (70000, 2)])
+        assert len(edges) == 3
+        assert list(edges) == [(0, 1), (7, 3), (70000, 2)]
+        assert edges[1] == (7, 3) and edges[-1] == (70000, 2)
+        assert edges[0][0] == 0
+        with pytest.raises(IndexError):
+            edges[3]
+
+    def test_equals_any_sequence_of_the_same_pairs(self):
+        edges = EdgeList([(0, 1), (2, 3)])
+        assert edges == [(0, 1), (2, 3)] and [(0, 1), (2, 3)] == edges
+        assert edges == [[0, 1], [2, 3]]
+        assert edges == EdgeList([[0, 1], [2, 3]])
+        assert edges != [(0, 1)] and edges != [(1, 0), (2, 3)]
+        assert edges != "ab" and edges != 5
+        assert EdgeList() == [] and EdgeList([]) == EdgeList()
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 2)], [(0,)], [(-1, 2)], [(0, 2 ** 32)], [(0, "a")]])
+    def test_anything_but_pairs_of_32_bit_ids_is_rejected(self, edges):
+        with pytest.raises(ValueError):
+            EdgeList(edges)
+
+    def test_records_convert_their_edges_once(self):
+        rec = MoveRecord(1, "B", [(0, 1)], promoted=[4])
+        assert type(rec.edges) is EdgeList and rec.promoted == (4,)
+        assert MoveRecord(2, "B", rec.edges).edges is rec.edges
+        assert MoveRecord(1, "B", [(0, 1)], promoted=(4,)) == rec
+
+
+def random_record(rng, top):
+    """A record with 0-40 edges on vertex ids below `top`, and a case
+    label that JSON must escape about half the time."""
+    k = rng.choice([0, 1, rng.randrange(2, 41)])
+    edges = [tuple(rng.sample(range(top), 2)) for _ in range(k)]
+    case = rng.choice([None, "P1.C1.1", "P2.C2", "", 'say "hi"', "back\\slash",
+                       "tab\tnew\nline", "caf\u00e9", "\u2603 \U0001f600",
+                       "nul\x00 del\x7f", "\u2028"])
+    promoted = rng.sample(range(top), rng.choice([0, 0, 1, 3]))
+    return MoveRecord(rng.randrange(1, 10 ** 6), rng.choice("BM"), edges,
+                      case, promoted)
+
+
+class TestSerialisation:
+    """dumps and to_json write what the json.dumps formula in
+    oracles.py writes, byte for byte."""
+
+    @pytest.mark.parametrize("top", [3, 10, 1000, 4000, 70_000, 1 << 20])
+    def test_random_records_match_the_reference(self, top):
+        rng = random.Random(top)
+        log = GameLog(meta=config_meta(small_cfg(), "random"))
+        log.records = [random_record(rng, top) for _ in range(200)]
+        log.end = {"outcome": "Timeout", "case": "\u00e9"}
+        assert log.dumps() == log_dumps_reference(log)
+        for rec in log.records[:50]:
+            assert rec.to_json() == record_json_reference(rec)
+
+    def test_empty_logs_match_the_reference(self):
+        log = GameLog(meta=config_meta(small_cfg(), "random"))
+        assert log.dumps() == log_dumps_reference(log)
+        log.records = [MoveRecord(1, "B", []), MoveRecord(1, "M", [])]
+        assert log.dumps() == log_dumps_reference(log)
+
+    @pytest.mark.parametrize("policy", ["random", "isolator"])
+    def test_engine_logs_match_the_reference(self, policy):
+        log = run_game(GameConfig.scaled(300, seed=1), policy).log
+        assert log.dumps() == log_dumps_reference(log)
+
+
+def bytes_per_edge(log):
+    """Traced bytes that dropping the log's records frees, per edge."""
+    edges = sum(len(rec.edges) for rec in log.records)
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    log.records = []
+    gc.collect()
+    return (held - tracemalloc.get_traced_memory()[0]) / edges
+
+
+class TestMemory:
+    def test_logs_hold_few_bytes_per_edge(self):
+        """A record keeps its edges as 32-bit ids, 8 B per edge, and costs
+        a few hundred bytes more; at n = 1000 (b = 36, two records per 37
+        edges) that stays under 20 B per edge, where tuples of ints took
+        ~122."""
+        tracemalloc.start()
+        try:
+            log = run_game(GameConfig.scaled(1000, seed=0)).log
+            text = log.dumps()
+            engine = bytes_per_edge(log)
+            parsed = bytes_per_edge(GameLog.parse(text))
+        finally:
+            tracemalloc.stop()
+        assert engine <= 20 and parsed <= 20, (engine, parsed)
 
 
 class TestGameLog:
