@@ -446,7 +446,7 @@ def turn_accounting(log: GameLog) -> dict:
     case_counts: dict[str, int] = {}
     maker_turns = 0
     breaker_edges = 0
-    max_settled = len(ps.settled)
+    max_settled = ps.settled_mask.bit_count()
     max_paths = ps.path_count()
     booster_turns = 0
     for rec in log.records:
@@ -467,11 +467,11 @@ def turn_accounting(log: GameLog) -> dict:
                         booster_turns += 1
         except PathSystemError as err:
             raise LogReplayError(rec.turn, str(err)) from None
-        max_settled = max(max_settled, len(ps.settled))
+        max_settled = max(max_settled, ps.settled_mask.bit_count())
         max_paths = max(max_paths, ps.path_count())
     trouble_total = sum(
         len(rec.promoted) for rec in log.records if rec.player == "B")
-    growth_bound = len(ps.settled) + 3 * ps.path_count()
+    growth_bound = ps.settled_mask.bit_count() + 3 * ps.path_count()
     summary = {
         "maker_turns": maker_turns,
         "case_counts": dict(sorted(case_counts.items())),
@@ -496,9 +496,8 @@ def turn_accounting(log: GameLog) -> dict:
 
 @dataclass
 class AuditReport:
-    expansion: ExpansionReport | None
+    expansion: ExpansionReport
     connectivity_ok: bool
-    expansion_pass_rate: float
 
 
 def live_audit(board: Board, ps: PathSystem, rng: Random,
@@ -508,5 +507,4 @@ def live_audit(board: Board, ps: PathSystem, rng: Random,
     return AuditReport(
         expansion=expansion,
         connectivity_ok=connectivity_audit(board, ps),
-        expansion_pass_rate=expansion.pass_rate,
     )

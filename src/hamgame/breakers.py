@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from math import isqrt
 from operator import length_hint
 from random import Random
 
@@ -29,21 +28,12 @@ class ReplayError(RuntimeError):
         self.turn = turn
 
 
-def pair_from_index(n: int, t: int) -> tuple[int, int]:
-    """Decode t in [0, C(n,2)) to the t-th pair (u, v), u < v, in
-    lexicographic order."""
-    # Count from the end: r pairs follow t, and the m*(m+1)/2 pairs of
-    # the last m rows are those with first element > n-2-m.  Row u holds
-    # the pairs r in [m*(m+1)/2, (m+1)*(m+2)/2) for m = n-2-u.
-    r = n * (n - 1) // 2 - 1 - t
-    m = (isqrt(8 * r + 1) - 1) // 2
-    return n - 2 - m, n - 1 - r + m * (m + 1) // 2
-
-
 def pairs_from_indices(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pair_from_index of each t in an int64 array, t < 2**60: the same
-    closed form, its square root in floating point, then corrected to
-    the exact row by one integer step either way."""
+    """Decode each t in an int64 array, t < 2**60, to the t-th pair
+    (u, v), u < v, in lexicographic order.  Counted from the end, r
+    pairs follow t, and row u = n-2-m holds the r in [m*(m+1)/2,
+    (m+1)*(m+2)/2); m comes from the square root in floating point,
+    corrected to the exact row by one integer step either way."""
     r = (n * (n - 1) // 2 - 1) - t
     m = ((np.sqrt(r * 8.0 + 1.0) - 1.0) * 0.5).astype(np.int64)
     m -= (m * (m + 1) >> 1) > r
@@ -69,7 +59,8 @@ class BreakerPolicy:
 class RandomBreaker(BreakerPolicy):
     """Uniform unclaimed pairs, without replacement within the turn.
 
-    A draw is `rng.randrange(C(n,2))` decoded by pair_from_index.
+    A draw is `rng.randrange(C(n,2))` decoded to the t-th pair in
+    lexicographic order (pairs_from_indices).
     randrange tries `getrandbits(w)`, w = C(n,2).bit_length(), until the
     value is below C(n,2).  A try spends one 32-bit word and keeps its
     top w bits while w <= 32; above that it spends two, the low word
@@ -294,9 +285,10 @@ class PairKillerBreaker(BreakerPolicy):
     """
 
     name = "pairkiller"
+    # Per-closure budget of each pair scan.
+    BUDGET = 256
 
-    def __init__(self, budget: int = 256) -> None:
-        self.budget = budget
+    def __init__(self) -> None:
         self.fallback = RandomBreaker()
         self._stamp: tuple[int, int] | None = None
         self._pairs: list[tuple[int, int]] = []
@@ -312,7 +304,7 @@ class PairKillerBreaker(BreakerPolicy):
             return
         pairs, _ = endpoint_pairs_scan(
             board.maker_adj, maker._pivot_mask(), tracked.order,
-            max_states=self.budget, total_states=4 * self.budget)
+            budget=self.BUDGET)
         self._pairs = sorted(pairs)
 
     def take_turn(self, board: Board, rng: Random, k: int,

@@ -198,16 +198,14 @@ class MakerStrategy:
         except NormalizeError as exc:
             return MakerMove(case=label,
                              end_reason=f"endpoint normalization failed: {exc}")
-        budget = self.cfg.closure_budget
         if self.cfg.audit_level is AuditLevel.FULL:
             pairs, _ = endpoint_pairs_scan(
                 board.maker_adj, self._pivot_mask(), normalized,
-                max_states=budget, total_states=4 * budget if budget else 0)
+                budget=self.cfg.closure_budget)
             self.pair_counts.append((board.turn, len(pairs)))
         hit, truncated = find_closing_pair(
             board.maker_adj, board.breaker_adj, self._pivot_mask(),
-            self.hub_mask, normalized,
-            max_states=budget, total_states=4 * budget if budget else 0)
+            self.hub_mask, normalized, budget=self.cfg.closure_budget)
         if truncated:
             self.truncated_searches += 1
         if hit is None:

@@ -36,15 +36,14 @@ class PathSystem:
     """
 
     __slots__ = (
-        "n", "settled", "settled_mask", "nb", "loc", "ends", "lengths",
+        "n", "settled_mask", "nb", "loc", "ends", "lengths",
         "endpoint_mask", "_next_id", "_dropped",
     )
 
     def __init__(self, n: int, settled: set[int]) -> None:
         self.n = n
-        self.settled = set(settled)
         self.settled_mask = 0
-        for v in self.settled:
+        for v in settled:
             self.settled_mask |= 1 << v
         self.nb: list[list[int]] = [[] for _ in range(n)]
         self.loc = [-1] * n
@@ -54,7 +53,7 @@ class PathSystem:
         # ends iterates in ascending path id: ids only grow, new paths
         # are inserted last, and a join keeps the surviving id in place.
         for v in range(n):
-            if v not in self.settled:
+            if not self.settled_mask >> v & 1:
                 self.loc[v] = v         # singleton, path id == vertex id
                 self.ends[v] = (v, v)
                 self.lengths[v] = 1
@@ -111,7 +110,6 @@ class PathSystem:
         if pid == -1:
             return AbsorbResult(v, False, None, ())
         a, b = self.ends[pid]
-        self.settled.add(v)
         self.settled_mask |= 1 << v
         self.loc[v] = -1
         neighbors = list(self.nb[v])
@@ -242,19 +240,20 @@ class PathSystem:
                 want = 0 if len(verts) == 1 else (1 if i in (0, len(verts) - 1) else 2)
                 if len(self.nb[w]) != want:
                     problems.append(f"vertex {w}: {len(self.nb[w])} slots, want {want}")
+        n_settled = 0
         for v in range(self.n):
-            if (v in self.settled) != (self.loc[v] == -1):
+            is_settled = bool(self.settled_mask >> v & 1)
+            if is_settled != (self.loc[v] == -1):
                 problems.append(f"vertex {v}: loc/settled disagree")
-            if v in self.settled and covered[v]:
+            if is_settled and covered[v]:
                 problems.append(f"vertex {v}: settled but on a path")
-            if v not in self.settled and covered[v] != 1:
+            if not is_settled and covered[v] != 1:
                 problems.append(f"vertex {v}: covered {covered[v]} times")
-        if total + len(self.settled) != self.n:
-            problems.append(f"cover {total}+{len(self.settled)} != {self.n}")
-        mask = 0
-        for v in self.settled:
-            mask |= 1 << v
-        if mask != self.settled_mask:
+            n_settled += is_settled
+        if total + n_settled != self.n:
+            problems.append(f"cover {total}+{n_settled} != {self.n}")
+        if self.settled_mask >> self.n:
+            # A bit at or past n names no vertex.
             problems.append("settled_mask stale")
         emask = 0
         for a, b in self.ends.values():

@@ -16,10 +16,11 @@ by content hash with an exact compare, and in discovery order they are
 the breadth-first queue.  Freed heap memory stays with the process, in
 amounts that depend on what else was allocated meanwhile; the map goes
 back to the system when the closure is dropped.  Exactness is paid for
-with an optional state budget: searches stop deterministically at
-`max_states` explored paths and flag the result as truncated.
-Engine-scale callers set a budget; verification-scale callers leave it
-unbounded.
+with an optional state budget: a closure stops deterministically once
+it holds `max_states` explored paths and flags the result as truncated,
+and a two-level search spends at most SEARCH_BUDGET_FACTOR times that
+over all its closures.  Engine-scale callers set a budget;
+verification-scale callers leave it unbounded.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .board import bits
+
+# A two-level search explores at most this many times the per-closure
+# budget, summed over all its closures.
+SEARCH_BUDGET_FACTOR = 4
 
 
 class RotationError(ValueError):
@@ -111,12 +116,6 @@ class RotationClosure:
     def witness_path(self, w: int) -> list[int]:
         return self._rows[self._witness[w]].tolist()
 
-    def __contains__(self, w: int) -> bool:
-        return w in self._witness
-
-    def __len__(self) -> int:
-        return len(self._witness)
-
 
 def _as_order_array(order) -> np.ndarray:
     arr = np.asarray(order, dtype=np.int32)
@@ -150,9 +149,11 @@ def limited_rotation_closure(
 
     The endpoint set always contains the original free end order[-1]
     (zero rotations).  max_states > 0 bounds the number of explored path
-    states; hitting the bound sets .truncated.  stop_at, if given, is a
-    predicate on endpoints: the search stops early once a newly found
-    endpoint satisfies it (used by callers that only need one hit).
+    states, the input path included; the search stops as soon as it holds
+    that many with some still unexpanded, and sets .truncated.  stop_at,
+    if given, is a predicate on endpoints: the search stops early once a
+    newly found endpoint satisfies it (used by callers that only need
+    one hit).
     """
     n = len(maker_adj)
     arr = _as_order_array(order)
@@ -163,6 +164,10 @@ def limited_rotation_closure(
     length = len(arr)
     closure = RotationClosure(arr, max_states)
     if length < 4 or (stop_at is not None and stop_at(closure.endpoints[0])):
+        return closure
+    if max_states == 1:
+        # The input path alone fills the budget.
+        closure.truncated = True
         return closure
     path_mask = 0
     for v in arr:
@@ -209,14 +214,47 @@ def limited_rotation_closure(
     return closure
 
 
+def _two_level_walk(maker_adj, pivot_mask, order, budget, partners, visit,
+                    *, validate) -> bool:
+    """The two-level rotation construction: close over order's free end,
+    then for each first-level path state, in discovery order, whose free
+    end u has partners(u) != 0, close over its other end and call
+    visit(u, w, second) for each second-level endpoint w in that mask.
+
+    Each closure explores at most `budget` paths and the whole walk at
+    most SEARCH_BUDGET_FACTOR * budget (0: unbounded).  Returns whether
+    a budget stopped the walk with work left.
+    """
+    total = SEARCH_BUDGET_FACTOR * budget
+    first = limited_rotation_closure(
+        maker_adj, pivot_mask, order, validate=validate, max_states=budget)
+    truncated = first.truncated
+    spent = len(first.states)
+    for state in first.states:
+        if budget and spent >= total:
+            return True
+        u = int(state[-1])
+        wanted = partners(u)
+        if not wanted:
+            continue
+        second = limited_rotation_closure(
+            maker_adj, pivot_mask, state[::-1], validate=False,
+            max_states=min(budget, total - spent) if budget else 0)
+        truncated = truncated or second.truncated
+        spent += len(second.states)
+        for w in second.endpoints:
+            if wanted >> w & 1:
+                visit(u, w, second)
+    return truncated
+
+
 def endpoint_pairs_scan(
     maker_adj: list[int],
     pivot_mask: int,
     order,
     *,
     validate: bool = True,
-    max_states: int = 0,
-    total_states: int = 0,
+    budget: int = 0,
 ) -> tuple[set[tuple[int, int]], bool]:
     """Unordered endpoint pairs realizable on V(P) by the two-level
     rotation construction: close over one end, then for each reachable
@@ -229,40 +267,19 @@ def endpoint_pairs_scan(
     concrete path on V(P).
 
     The input path must already have both endpoints in the anchor set
-    (run normalize_endpoints first when it may not).  max_states > 0
-    bounds each closure and total_states > 0 the states explored across
-    the whole scan; either bound being hit sets truncated.
+    (run normalize_endpoints first when it may not).  budget > 0 bounds
+    each closure and, SEARCH_BUDGET_FACTOR times over, the whole scan;
+    either bound being hit sets truncated.
     """
-    budget = total_states
-    first = limited_rotation_closure(
-        maker_adj, pivot_mask, order, validate=validate,
-        max_states=_cap(max_states, budget))
     pairs: set[tuple[int, int]] = set()
-    truncated = first.truncated
-    if budget:
-        budget -= len(first.states)
-    for state in first.states:
-        if total_states and budget <= 0:
-            truncated = True
-            break
-        u = int(state[-1])
-        second = limited_rotation_closure(
-            maker_adj, pivot_mask, state[::-1],
-            validate=False, max_states=_cap(max_states, budget))
-        truncated = truncated or second.truncated
-        if budget:
-            budget -= len(second.states)
-        for w in second.endpoints:
-            pairs.add((u, w) if u <= w else (w, u))
+
+    def visit(u: int, w: int, _second) -> None:
+        pairs.add((u, w) if u <= w else (w, u))
+
+    # Every vertex is a partner (-1 has all bits set).
+    truncated = _two_level_walk(maker_adj, pivot_mask, order, budget,
+                                lambda u: -1, visit, validate=validate)
     return pairs, truncated
-
-
-def _cap(max_states: int, remaining: int) -> int:
-    if remaining <= 0:
-        return max_states
-    if max_states <= 0:
-        return remaining
-    return min(max_states, remaining)
 
 
 def normalize_endpoints(
@@ -327,16 +344,16 @@ def find_closing_pair(
     hub_mask: int,
     order,
     *,
-    max_states: int = 0,
-    total_states: int = 0,
+    budget: int = 0,
 ) -> tuple[tuple[int, int, list[int]] | None, bool]:
     """Least hub-hub endpoint pair whose edge is claimable, with witness.
 
-    Enumerates the same two-level pair family as endpoint_pairs_scan but
-    only descends into first-level states whose free end is a hub with
-    at least one claimable hub partner on the path, keeps pairs with
-    both members hubs and the joining edge unclaimed by either player,
-    and takes the lexicographically least as (u, w) with u < w.
+    Walks the same two-level pair family as endpoint_pairs_scan, with the
+    same budget, but only descends into first-level states whose free end
+    is a hub with at least one claimable hub partner on the path, keeps
+    pairs with both members hubs and the joining edge unclaimed by
+    either player, and takes the lexicographically least as (u, w) with
+    u < w.
 
     Returns ((u, w, witness path from u to w) or None, truncated); a
     None hit with truncated=True means the budgeted search ran out, not
@@ -346,45 +363,26 @@ def find_closing_pair(
     path_mask = 0
     for v in arr:
         path_mask |= 1 << int(v)
-    budget = total_states
-    first = limited_rotation_closure(
-        maker_adj, pivot_mask, arr, validate=False,
-        max_states=_cap(max_states, budget))
-    truncated = first.truncated
-    if budget:
-        budget -= len(first.states)
-    best: tuple[int, int] | None = None
-    best_witness: list[int] | None = None
-    for state in first.states:
-        if total_states and budget <= 0:
-            truncated = True
-            break
-        u = int(state[-1])
-        if not (hub_mask >> u & 1):
-            continue
+
+    def partners(u: int) -> int:
         # A claimable partner must be a hub on the path that neither
-        # player owns an edge to; skip the whole descent when none can
-        # exist.
-        partner_cand = (hub_mask & path_mask
-                        & ~breaker_adj[u] & ~maker_adj[u] & ~(1 << u))
-        if not partner_cand:
-            continue
-        second = limited_rotation_closure(
-            maker_adj, pivot_mask, state[::-1],
-            validate=False, max_states=_cap(max_states, budget))
-        truncated = truncated or second.truncated
-        if budget:
-            budget -= len(second.states)
-        for w in second.endpoints:
-            if not (partner_cand >> w & 1):
-                continue
-            pair = (u, w) if u < w else (w, u)
-            if best is None or pair < best:
-                best = pair
-                best_witness = second.witness_path(w)
-    if best is None:
-        return None, truncated
-    return (best[0], best[1], best_witness), truncated
+        # player owns an edge to; none skips the whole descent.
+        if not (hub_mask >> u & 1):
+            return 0
+        return (hub_mask & path_mask
+                & ~breaker_adj[u] & ~maker_adj[u] & ~(1 << u))
+
+    best: tuple[int, int, list[int]] | None = None
+
+    def visit(u: int, w: int, second: RotationClosure) -> None:
+        nonlocal best
+        pair = (u, w) if u < w else (w, u)
+        if best is None or pair < best[:2]:
+            best = (*pair, second.witness_path(w))
+
+    truncated = _two_level_walk(maker_adj, pivot_mask, arr, budget,
+                                partners, visit, validate=False)
+    return best, truncated
 
 
 def advance_tracked_path(

@@ -121,7 +121,7 @@ class InvariantMonitor:
         self.deep_check(turn)
 
     def check_growth(self, turn: int) -> None:
-        bound = len(self.ps.settled) + 3 * self.ps.path_count()
+        bound = self.ps.settled_mask.bit_count() + 3 * self.ps.path_count()
         if self.maker.growth_events > bound:
             self._fail(turn, f"growth events {self.maker.growth_events} "
                              f"> |S|+3|F| = {bound}")
@@ -164,7 +164,7 @@ def run_game(cfg: GameConfig,
     outcome = TIMEOUT
     reason: str | None = "turn limit reached"
     maker_turns = 0
-    max_settled = len(ps.settled)
+    max_settled = ps.settled_mask.bit_count()
     max_paths = ps.path_count()
     check_level = cfg.audit_level is not AuditLevel.OFF
 
@@ -197,7 +197,7 @@ def run_game(cfg: GameConfig,
                 monitor.check_growth(rnd)
             if rnd % DEEP_CHECK_EVERY == 0:
                 monitor.deep_check(rnd)
-        max_settled = max(max_settled, len(ps.settled))
+        max_settled = max(max_settled, ps.settled_mask.bit_count())
         max_paths = max(max_paths, ps.path_count())
 
         if move.won:
@@ -236,7 +236,7 @@ def run_game(cfg: GameConfig,
 
         report = live_audit(board, ps, game_rng(cfg, "audit"),
                             samples=cfg.audit_samples)
-        stats["expansion_pass_rate"] = report.expansion_pass_rate
+        stats["expansion_pass_rate"] = report.expansion.pass_rate
         stats["connectivity_pass_rate"] = \
             1.0 if report.connectivity_ok else 0.0
         stats["expansion_witnesses"] = [

@@ -180,7 +180,12 @@ def board_fingerprint_reference(board) -> str:
     return h.hexdigest()
 
 
-def _pair_from_index(n: int, t: int) -> tuple[int, int]:
+def pair_from_index(n: int, t: int) -> tuple[int, int]:
+    """Decode t in [0, C(n,2)) to the t-th pair (u, v), u < v, in
+    lexicographic order."""
+    # Count from the end: r pairs follow t, and the m*(m+1)/2 pairs of
+    # the last m rows are those with first element > n-2-m.  Row u holds
+    # the pairs r in [m*(m+1)/2, (m+1)*(m+2)/2) for m = n-2-u.
     r = n * (n - 1) // 2 - 1 - t
     m = (isqrt(8 * r + 1) - 1) // 2
     return n - 2 - m, n - 1 - r + m * (m + 1) // 2
@@ -201,7 +206,7 @@ def random_breaker_turn_reference(board, rng, k: int) -> list[tuple[int, int]]:
     misses = 0
     while len(out) < k:
         t = randrange(total)
-        u, v = _pair_from_index(n, t)
+        u, v = pair_from_index(n, t)
         if not (t in picked or (breaker_adj[u] | maker_adj[u]) >> v & 1):
             picked.add(t)
             out.append((u, v))

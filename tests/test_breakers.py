@@ -16,12 +16,11 @@ from hamgame.breakers import (
     ReplayError,
     ScriptedBreaker,
     make_policy,
-    pair_from_index,
     pairs_from_indices,
 )
 from hamgame.gamelog import GameLog, MoveRecord
 from hamgame.rotation import TrackedPath
-from oracles import random_breaker_turn_reference
+from oracles import pair_from_index, random_breaker_turn_reference
 
 
 def fresh_board(n=10, b=3, thr=5.0, quota=2, hub_size=3):

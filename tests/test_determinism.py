@@ -57,6 +57,12 @@ AUDITED_GAME = ("random", 200, 0)
 AUDITED_DIGEST = \
     "507a9600f6cd9951637ed03c71c9caffb19fc65467794a7c1e64030f23afb038"
 
+# At audit level full, the end record also carries the endpoint-pair
+# counts of Maker's endpoint_pairs_scan at each closing search.
+FULL_AUDIT_GAME = ("random", 200, 0)
+FULL_AUDIT_DIGEST = \
+    "2570f4df43f6993a29181f89850893986292369d385eaa7065a0597954b6983f"
+
 # n = 12 with b = 10 fills the board within a few turns, so the random
 # Breaker's rejection loop gives up and samples from the enumerated rest.
 FALLBACK_GAME = (12, 10, 0)
@@ -79,6 +85,15 @@ def test_audited_game_is_pinned():
     policy, n, seed = AUDITED_GAME
     cfg = GameConfig.scaled(n, seed=seed, audit_level="cheap")
     assert log_digest(cfg, policy) == AUDITED_DIGEST
+
+
+def test_full_audit_game_is_pinned():
+    policy, n, seed = FULL_AUDIT_GAME
+    cfg = GameConfig.scaled(n, seed=seed, audit_level="full")
+    result = run_game(cfg, policy)
+    assert result.stats["pair_counts"]
+    text = result.log.dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_AUDIT_DIGEST
 
 
 def test_enumeration_fallback_fires_and_is_pinned(monkeypatch):

@@ -162,7 +162,7 @@ def test_init_path_system_matches_board():
     board = Board(GameConfig(n=8, b=1, trouble_threshold=4.0,
                              quota=2, hub_size=3, max_turns=32))
     ps = PathSystem(board.n, set(board.cfg.hub_vertices()))
-    assert ps.settled == {5, 6, 7}
+    assert ps.settled_mask == 0b11100000
     assert ps.path_count() == 5
 
 
@@ -191,7 +191,7 @@ def test_random_mutation_sequences_stay_consistent(seed):
             ps.absorb(v)
     assert ps.deep_check() == []
     # Partition: every vertex settled or on exactly one path.
-    covered = set(ps.settled)
+    covered = {v for v in range(n) if ps.settled_mask >> v & 1}
     for pid in ps.ends:
         verts = ps.path_vertices(pid)
         assert covered.isdisjoint(verts)

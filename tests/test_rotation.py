@@ -20,7 +20,9 @@ from oracles import (
     random_maker_graph,
 )
 
+from hamgame import rotation
 from hamgame.rotation import (
+    SEARCH_BUDGET_FACTOR,
     NormalizeError,
     RotationError,
     TrackedPath,
@@ -64,8 +66,6 @@ class TestClosure:
         adj = masks([{1}, {0, 2}, {1}])
         c = limited_rotation_closure(adj, 0b111, [0, 1, 2])
         assert c.endpoints == [2]
-        assert 2 in c and 0 not in c
-        assert len(c) == 1
 
     def test_four_vertex_chord_reaches_both_ends(self):
         # Frozen: {2, 3} (rotation at pivot 1 turns 0-1-2-3 into 0-1-3-2).
@@ -196,13 +196,93 @@ class TestEndpointPairs:
 
     def test_total_budget_reports_truncation(self):
         pairs, truncated = endpoint_pairs_scan(
-            masks(ADJ5), 0b11111, [0, 1, 2, 3, 4], total_states=1)
+            masks(ADJ5), 0b11111, [0, 1, 2, 3, 4], budget=1)
         assert truncated
         full, truncated = endpoint_pairs_scan(
-            masks(ADJ5), 0b11111, [0, 1, 2, 3, 4], total_states=10_000)
+            masks(ADJ5), 0b11111, [0, 1, 2, 3, 4], budget=10_000)
         assert not truncated
         assert full == {(0, 2), (0, 4), (2, 4)}
         assert pairs <= full
+
+
+def chorded_path(seed, n=10, chords=12):
+    """The path 0..n-1 plus random Maker chords."""
+    rng = random.Random(seed)
+    adj_sets = [set() for _ in range(n)]
+    for a, b in [(v, v + 1) for v in range(n - 1)] + [
+            tuple(rng.sample(range(n), 2)) for _ in range(chords)]:
+        adj_sets[a].add(b)
+        adj_sets[b].add(a)
+    return masks(adj_sets)
+
+
+class TestTwoLevelBudget:
+    """Both two-level searches, watched through every closure they run:
+    a closure holds at most its cap and each cap is at most the budget,
+    the whole search holds at most SEARCH_BUDGET_FACTOR * budget, and
+    truncated is set exactly when a cap stopped it with work left."""
+
+    N = 10
+    HUBS = mask_of(range(0, 10, 2))
+
+    def search(self, entry, adj, budget):
+        order = list(range(self.N))
+        pivots = (1 << self.N) - 1
+        if entry == "pairs":
+            return endpoint_pairs_scan(adj, pivots, order, budget=budget)
+        return find_closing_pair(adj, [0] * self.N, pivots, self.HUBS,
+                                 order, budget=budget)
+
+    @pytest.mark.parametrize("entry", ["pairs", "closing"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 40, 10_000])
+    def test_budget_accounting(self, monkeypatch, entry, seed, budget):
+        adj = chorded_path(seed, self.N)
+        unbounded, _ = self.search(entry, adj, 0)
+        calls = []
+        real = rotation.limited_rotation_closure
+
+        def spy(*args, **kwargs):
+            closure = real(*args, **kwargs)
+            calls.append((kwargs["max_states"], closure))
+            return closure
+
+        monkeypatch.setattr(rotation, "limited_rotation_closure", spy)
+        got, truncated = self.search(entry, adj, budget)
+
+        spent = 0
+        for cap, closure in calls:
+            assert 0 < cap <= budget
+            assert len(closure.states) <= cap
+            # A closure is cut exactly when it fills its cap.
+            assert closure.truncated == (len(closure.states) == cap)
+            spent += len(closure.states)
+        assert spent <= SEARCH_BUDGET_FACTOR * budget
+        # The walk itself stops once the budget is spent while
+        # first-level states it has not reached remain.
+        first = calls[0][1].states
+        last = max((int(np.flatnonzero(
+            (first == closure.states[0][::-1]).all(axis=1))[0])
+            for _, closure in calls[1:]), default=0)
+        stopped = (spent == SEARCH_BUDGET_FACTOR * budget
+                   and last < len(first) - 1)
+        assert truncated == (stopped or any(c.truncated for _, c in calls))
+        if not truncated:
+            assert got == unbounded
+
+    def test_unbounded_search_passes_no_cap(self, monkeypatch):
+        caps = []
+        real = rotation.limited_rotation_closure
+
+        def spy(*args, **kwargs):
+            caps.append(kwargs["max_states"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rotation, "limited_rotation_closure", spy)
+        for entry in ("pairs", "closing"):
+            _, truncated = self.search(entry, chorded_path(5, self.N), 0)
+            assert not truncated
+        assert len(caps) > 2 and set(caps) == {0}
 
 
 class TestNormalize:
@@ -278,7 +358,7 @@ class TestClosingPair:
     def test_tiny_budget_flags_truncation(self):
         adj = masks(ADJ5)
         hit, truncated = find_closing_pair(
-            adj, [0] * 5, 0b11111, 0b11111, [0, 1, 2, 3, 4], total_states=1)
+            adj, [0] * 5, 0b11111, 0b11111, [0, 1, 2, 3, 4], budget=1)
         assert truncated
 
 
