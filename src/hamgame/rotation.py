@@ -10,22 +10,22 @@ The closure explores full path states breadth-first, deduplicating by
 the exact vertex sequence.  Deduplicating by endpoint alone is cheaper
 but provably lossy (a second witness for a known endpoint can rotate to
 endpoints the first witness cannot reach), and the contract here is the
-true reachable set.  Each explored path is stored once, as a row of a
-table in the search's own anonymous memory map; rows are deduplicated
-by content hash with an exact compare, and in discovery order they are
-the breadth-first queue.  Freed heap memory stays with the process, in
-amounts that depend on what else was allocated meanwhile; the map goes
-back to the system when the closure is dropped.  Exactness is paid for
-with an optional state budget: a closure stops deterministically once
-it holds `max_states` explored paths and flags the result as truncated,
-and a two-level search spends at most SEARCH_BUDGET_FACTOR times that
-over all its closures.  Engine-scale callers set a budget;
-verification-scale callers leave it unbounded.
+true reachable set.  A rotation reverses the suffix after its pivot, so
+each explored path after the first is stored as two ints, its parent
+path and its pivot position, and rebuilt on demand in one buffer by
+undoing and redoing suffix reversals.  Rotating a path at its own pivot
+gives back its parent, which is skipped at no cost; every other new path
+is built in a scratch row, hashed, and compared exactly with the stored
+paths of the same hash.  Exactness is paid for with an optional state
+budget: a closure stops deterministically once it holds `max_states`
+explored paths and flags the result as truncated, and a two-level
+search spends at most SEARCH_BUDGET_FACTOR times that over all its
+closures.  Engine-scale callers set a budget; verification-scale
+callers leave it unbounded.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,52 +72,87 @@ class TrackedPath:
 class RotationClosure:
     """Paths reachable from one path by rotations keeping one end fixed.
 
-    endpoints lists each reachable free end once, in discovery order;
-    states holds every distinct reachable path, starting at the fixed
-    end, as the rows of a read-only unsigned integer array in discovery
-    order; the witness kept per endpoint is the first path that reached
-    it.
+    endpoints lists each reachable free end once, in discovery order; the
+    witness kept per endpoint is the first path that reached it.  The
+    input path is stored once, and every later state as two ints: the
+    state it was rotated from and the pivot position.  path(s) rebuilds
+    state s in one reusable buffer.  len() counts the distinct reachable
+    paths; states lists them, starting at the fixed end, as the rows of
+    an array in discovery order (built on demand, for tests).
     """
 
-    __slots__ = ("fixed", "endpoints", "truncated", "_witness", "_rows",
-                 "_keys", "_count")
+    __slots__ = ("fixed", "endpoints", "truncated", "_witness", "_parent",
+                 "_pivot", "_at", "_buf", "_pos", "_span")
 
-    def __init__(self, path: np.ndarray, budget: int) -> None:
+    def __init__(self, path: np.ndarray) -> None:
         self.fixed = int(path[0])
         self.endpoints = [int(path[-1])]
         self.truncated = False
-        self._witness = {int(path[-1]): 0}     # endpoint -> row
-        # The narrowest unsigned type that holds the path's vertices.
-        dtype = np.min_scalar_type(int(path.max()))
-        self._rows = np.empty((0, len(path)), dtype)
-        # Room for the whole budget when it fits in 1 GiB of addresses
-        # (a page is touched only when a row on it is written); other
-        # searches start with room for 64 paths and double.
-        row_bytes = len(path) * dtype.itemsize
-        self._grow(budget if 0 < budget * row_bytes <= 1 << 30 else 64)
-        self._rows[0] = path
-        self._count = 1
+        self._witness = {int(path[-1]): 0}     # endpoint -> state
+        self._parent = [-1]
+        self._pivot = [-1]
+        # _buf holds the path of state _at; _pos maps each of its
+        # vertices to its position there.
+        self._at = 0
+        self._buf = np.array(path, dtype=np.int32)
+        self._span = np.arange(len(path), dtype=np.int32)
+        self._pos = np.empty(int(path.max()) + 1, dtype=np.int32)
+        self._pos[self._buf] = self._span
 
-    def _grow(self, rows: int) -> None:
-        """Move the table to a fresh map with room for `rows` paths; _keys
-        is a read-only byte view of the map, which can be hashed."""
-        length = self._rows.shape[1]
-        buf = mmap.mmap(-1, rows * length * self._rows.itemsize)
-        table = np.frombuffer(buf, self._rows.dtype).reshape(rows, length)
-        table[:len(self._rows)] = self._rows
-        self._rows, self._keys = table, memoryview(buf).toreadonly()
+    def __len__(self) -> int:
+        return len(self._parent)
 
-    @property
-    def states(self) -> np.ndarray:
-        view = self._rows[:self._count]
+    def _reverse(self, i: int) -> None:
+        """Reverse the buffer after position i: the rotation at pivot
+        position i, which is its own inverse."""
+        buf = self._buf
+        buf[i + 1:] = buf[:i:-1]
+        self._pos[buf[i + 1:]] = self._span[i + 1:]
+
+    def path(self, s: int) -> np.ndarray:
+        """State s's path, as a read-only view of the buffer that the
+        next rebuild overwrites.  Undoes the buffer's rotations back to
+        the common ancestor with s, then redoes those down to s."""
+        parent, pivot = self._parent, self._pivot
+        a, b, redo = self._at, s, []
+        # A state comes after its parent, so the later of two states is
+        # never an ancestor of the earlier one.
+        while a != b:
+            if a > b:
+                self._reverse(pivot[a])
+                a = parent[a]
+            else:
+                redo.append(pivot[b])
+                b = parent[b]
+        for i in reversed(redo):
+            self._reverse(i)
+        self._at = s
+        view = self._buf[:]
         view.flags.writeable = False
         return view
 
+    @property
+    def states(self) -> np.ndarray:
+        rows = np.empty((len(self), len(self._buf)), dtype=np.int32)
+        for s in range(len(self)):
+            rows[s] = self.path(s)
+        return rows
+
     def witness_path(self, w: int) -> list[int]:
-        return self._rows[self._witness[w]].tolist()
+        return self.path(self._witness[w]).tolist()
 
 
-def _as_order_array(order) -> np.ndarray:
+def _as_order_array(order, n: int | None = None) -> np.ndarray:
+    """order as an int32 array; given n, first check that it holds
+    integers in [0, n)."""
+    if n is not None:
+        raw = np.asarray(order)
+        if raw.ndim == 1 and len(raw):
+            if raw.dtype.kind not in "iu":
+                raise RotationError(f"path vertices must be integers, "
+                                    f"not {raw.dtype}")
+            if raw.min() < 0 or raw.max() >= n:
+                raise RotationError(f"path vertex out of range [0, {n})")
     arr = np.asarray(order, dtype=np.int32)
     if arr.ndim != 1 or len(arr) == 0:
         raise RotationError("path must be a non-empty vertex sequence")
@@ -153,16 +188,16 @@ def limited_rotation_closure(
     that many with some still unexpanded, and sets .truncated.  stop_at,
     if given, is a predicate on endpoints: the search stops early once a
     newly found endpoint satisfies it (used by callers that only need
-    one hit).
+    one hit).  validate checks that order is a Maker path on vertices
+    in [0, len(maker_adj)) and raises RotationError if not.
     """
-    n = len(maker_adj)
-    arr = _as_order_array(order)
+    arr = _as_order_array(order, len(maker_adj) if validate else None)
     if len(arr) < 2:
         raise RotationError("closure needs a path on >= 2 vertices")
     if validate:
         _validate_path(maker_adj, arr)
     length = len(arr)
-    closure = RotationClosure(arr, max_states)
+    closure = RotationClosure(arr)
     if length < 4 or (stop_at is not None and stop_at(closure.endpoints[0])):
         return closure
     if max_states == 1:
@@ -172,37 +207,41 @@ def limited_rotation_closure(
     path_mask = 0
     for v in arr:
         path_mask |= 1 << int(v)
-    width = closure._rows[0].nbytes
-    # Content hash -> rows with that hash; rows are compared exactly.
-    seen: dict[int, list[int]] = {hash(closure._keys[:width]): [0]}
+    buf, pos = closure._buf, closure._pos
+    parent, pivot = closure._parent, closure._pivot
+    # Each child is built here first.
+    scratch = np.empty(length, dtype=np.int32)
+    # Content hash -> states with that hash; states are compared exactly.
+    seen: dict[int, list[int]] = {hash(buf.tobytes()): [0]}
     usable = pivot_mask & path_mask
-    master_range = np.arange(length, dtype=np.int32)
-    pos = np.empty(n, dtype=np.int32)
     witness = closure._witness
     head = 0
-    while head < closure._count:
-        o = closure._rows[head]
-        head += 1
-        # Every pivot is on the path, so no stale entry of pos is read.
-        pos[o] = master_range
-        w = int(o[-1])
+    while head < len(closure):
+        closure.path(head)
+        # Rotating at the state's own pivot gives back its parent.
+        back = pivot[head]
+        w = int(buf[-1])
         for x in bits(maker_adj[w] & usable):
             i = int(pos[x])
-            if i < 1 or i > length - 3:
+            if i < 1 or i > length - 3 or i == back:
                 continue
-            k = closure._count
-            if k == len(closure._rows):
-                closure._grow(2 * k)
-            new_o = closure._rows[k]
-            new_o[:i + 1] = o[:i + 1]
-            new_o[i + 1:] = o[:i:-1]
-            twins = seen.setdefault(
-                hash(closure._keys[k * width:(k + 1) * width]), [])
-            if any(np.array_equal(closure._rows[j], new_o) for j in twins):
-                continue
+            scratch[:i + 1] = buf[:i + 1]
+            scratch[i + 1:] = buf[:i:-1]
+            h = hash(scratch.tobytes())
+            twins = seen.get(h)
+            if twins is None:
+                seen[h] = twins = []
+            else:
+                dup = any(np.array_equal(closure.path(j), scratch)
+                          for j in twins)
+                closure.path(head)
+                if dup:
+                    continue
+            parent.append(head)
+            pivot.append(i)
+            k = len(pivot) - 1
             twins.append(k)
-            closure._count = k + 1
-            y = int(new_o[-1])
+            y = int(scratch[-1])
             if y not in witness:
                 witness[y] = k
                 closure.endpoints.append(y)
@@ -211,6 +250,7 @@ def limited_rotation_closure(
             if max_states and k + 1 >= max_states:
                 closure.truncated = True
                 return closure
+        head += 1
     return closure
 
 
@@ -229,10 +269,11 @@ def _two_level_walk(maker_adj, pivot_mask, order, budget, partners, visit,
     first = limited_rotation_closure(
         maker_adj, pivot_mask, order, validate=validate, max_states=budget)
     truncated = first.truncated
-    spent = len(first.states)
-    for state in first.states:
+    spent = len(first)
+    for s in range(len(first)):
         if budget and spent >= total:
             return True
+        state = first.path(s)
         u = int(state[-1])
         wanted = partners(u)
         if not wanted:
@@ -241,7 +282,7 @@ def _two_level_walk(maker_adj, pivot_mask, order, budget, partners, visit,
             maker_adj, pivot_mask, state[::-1], validate=False,
             max_states=min(budget, total - spent) if budget else 0)
         truncated = truncated or second.truncated
-        spent += len(second.states)
+        spent += len(second)
         for w in second.endpoints:
             if wanted >> w & 1:
                 visit(u, w, second)

@@ -66,6 +66,56 @@ def closure_family_bruteforce(
     return family
 
 
+def closure_states_reference(
+    adj: list[set[int]],
+    pivots: set[int],
+    path: tuple[int, ...],
+    *,
+    max_states: int = 0,
+    stop_at=None,
+) -> tuple[list[tuple[int, ...]], list[int], dict[int, tuple[int, ...]], bool]:
+    """The rotation closure's exact search order, on tuples.
+
+    Breadth-first from path; each path tries its pivots in ascending
+    vertex id.  A new path is kept, then a new endpoint recorded with
+    that path as its witness, then stop_at checked on it; the search
+    stops, truncated, once max_states > 0 paths are kept.  Paths on
+    fewer than 4 vertices, or whose own end satisfies stop_at, are not
+    searched, and max_states == 1 truncates before any rotation.
+    Returns (paths, endpoints, witness per endpoint, truncated).
+    """
+    states = [path]
+    endpoints = [path[-1]]
+    witness = {path[-1]: path}
+    if len(path) < 4 or (stop_at is not None and stop_at(path[-1])):
+        return states, endpoints, witness, False
+    if max_states == 1:
+        return states, endpoints, witness, True
+    seen = {path}
+    head = 0
+    while head < len(states):
+        p = states[head]
+        head += 1
+        where = {v: i for i, v in enumerate(p)}
+        for x in sorted(x for x in adj[p[-1]] if x in pivots):
+            i = where.get(x, 0)
+            if not 1 <= i <= len(p) - 3:
+                continue
+            q = p[:i + 1] + tuple(reversed(p[i + 1:]))
+            if q in seen:
+                continue
+            seen.add(q)
+            states.append(q)
+            if q[-1] not in witness:
+                witness[q[-1]] = q
+                endpoints.append(q[-1])
+                if stop_at is not None and stop_at(q[-1]):
+                    return states, endpoints, witness, False
+            if max_states and len(states) >= max_states:
+                return states, endpoints, witness, True
+    return states, endpoints, witness, False
+
+
 def endpoint_pairs_bruteforce(
     adj: list[set[int]],
     pivots: set[int],

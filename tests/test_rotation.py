@@ -5,7 +5,11 @@ oracles.py and pasted in as literals; the randomized tests re-derive the
 comparison on the fly.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from itertools import combinations
 
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     closure_endpoints_bruteforce,
+    closure_states_reference,
     endpoint_pairs_bruteforce,
     longest_path_through,
     random_maker_graph,
@@ -98,6 +103,15 @@ class TestClosure:
         with pytest.raises(RotationError):
             limited_rotation_closure(adj, 0b1111, [0])
 
+    @pytest.mark.parametrize("order", [[-1, 0, 1, 2], [7, 0, 1, 2],
+                                       [0, 1, 2, 3.5]])
+    def test_rejects_vertices_outside_the_board(self, order):
+        adj = masks([{1}, {0, 2}, {1, 3}, {2}])
+        with pytest.raises(RotationError):
+            limited_rotation_closure(adj, 0b1111, order)
+        with pytest.raises(RotationError):
+            endpoint_pairs_scan(adj, 0b1111, order)
+
     def test_state_budget_sets_truncated(self):
         c = limited_rotation_closure(masks(ADJ4), 0b1111, [0, 1, 2, 3],
                                      max_states=2)
@@ -107,9 +121,9 @@ class TestClosure:
 
     def test_growing_table_matches_a_presized_one(self):
         # K8: pivots sit at positions 1..n-3, so the 6! orders of the
-        # last six vertices are reachable.  An unbounded search, and one
-        # whose budget is too large to reserve up front, double their
-        # table from 64 rows; a search with a small budget never has to.
+        # last six vertices are reachable.  An unbounded search and one
+        # with a budget far beyond the closure's size find the same
+        # paths as one whose budget just fits them.
         n = 8
         adj = masks([set(range(n)) - {v} for v in range(n)])
         sized = limited_rotation_closure(adj, (1 << n) - 1, list(range(n)),
@@ -129,10 +143,10 @@ class TestClosure:
         assert c.endpoints == [4]
 
     def test_each_state_is_stored_once(self):
-        # Each explored path is one row of the closure's table, which
-        # lives in its own memory map, not on the heap that tracemalloc
-        # traces; a budgeted closure on a chorded n = 1000 path puts far
-        # less than one n-sized block per state on that heap.
+        # Each explored path after the first is kept as its parent and
+        # pivot, not as a copy of the path: a budgeted closure on a
+        # chorded n = 1000 path puts far less than one n-sized block per
+        # state on the heap that tracemalloc traces.
         n = 1000
         rng = random.Random(1000)
         adj_sets = [set() for _ in range(n)]
@@ -153,6 +167,91 @@ class TestClosure:
         assert c.truncated and len(c.states) == 256
         assert peak < 0.25 * len(c.states) * 4 * n
         assert c.states.shape == (256, n)
+
+
+def random_chorded_case(seed):
+    """The path 0..n-1 on 6-10 vertices plus random chords, with random
+    pivots and a random stop_at target set (empty for even seeds):
+    (adj sets, pivots, path, stop targets)."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 10)
+    adj = chorded_path(seed, n, rng.randint(n, 4 * n))
+    adj_sets = [{v for v in range(n) if a >> v & 1} for a in adj]
+    pivots = {v for v in range(n) if rng.random() < 0.8}
+    targets = set(rng.sample(range(n), 2)) if seed % 2 else set()
+    return adj_sets, pivots, tuple(range(n)), targets
+
+
+class TestExactOrder:
+    """The closure against closure_states_reference: the same paths in
+    the same order, and the same endpoints, witnesses and truncation."""
+
+    @pytest.mark.parametrize("hashing", ["real", "constant"])
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 17, 256])
+    def test_states_match_reference(self, monkeypatch, hashing, budget):
+        if hashing == "constant":
+            # Every new path then shares one hash, so deduplication
+            # rests on the exact compare with rebuilt paths.
+            monkeypatch.setattr(rotation, "hash", lambda key: 0,
+                                raising=False)
+        for seed in range(30):
+            adj_sets, pivots, base, targets = random_chorded_case(seed)
+            stop_at = (lambda e: e in targets) if targets else None
+            want, ends, witness, truncated = closure_states_reference(
+                adj_sets, pivots, base, max_states=budget, stop_at=stop_at)
+            if hashing == "constant" and len(want) > 350:
+                continue    # all-colliding dedup is quadratic in states
+            got = limited_rotation_closure(
+                masks(adj_sets), mask_of(pivots), list(base),
+                max_states=budget, stop_at=stop_at)
+            assert [tuple(row) for row in got.states.tolist()] == want
+            assert len(got) == len(want)
+            assert got.endpoints == ends
+            assert got.truncated == truncated
+            # Witnesses are rebuilt in any order, not only the found one.
+            for w in reversed(ends):
+                assert got.witness_path(w) == list(witness[w])
+
+
+def test_search_memory_does_not_grow_with_n_times_budget():
+    """Budget-4096 closing-pair and pair scans on a chorded n = 2000
+    path both truncate, and raise the process's peak RSS by a few MB
+    (one n-wide table of 4096 paths alone would be 16 MB or more)."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    script = textwrap.dedent("""
+        import random
+        from hamgame.rotation import endpoint_pairs_scan, find_closing_pair
+
+        def peak_mb():
+            with open("/proc/self/status") as f:
+                for line in f:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1]) / 1024
+
+        n = 2000
+        rng = random.Random(2000)
+        adj = [0] * n
+        for a, b in [(v, v + 1) for v in range(n - 1)] + [
+                tuple(rng.sample(range(n), 2)) for _ in range(4 * n)]:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        everyone = (1 << n) - 1
+        order = list(range(n))
+        before = peak_mb()
+        _, cut = find_closing_pair(adj, [0] * n, everyone, everyone, order,
+                                   budget=4096)
+        _, cut_pairs = endpoint_pairs_scan(adj, everyone, order,
+                                           budget=4096)
+        print(peak_mb() - before, cut, cut_pairs)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    growth, cut, cut_pairs = out.stdout.split()
+    assert cut == cut_pairs == "True"
+    assert float(growth) < 8
 
 
 class TestEndpointPairs:
