@@ -330,11 +330,14 @@ def potential_audit(log: GameLog) -> list[PotentialRun]:
     breaker_deg = [0] * n
     served = [0] * n
     trouble = bytearray(n)
-    badj: dict[int, set[int]] = {}
     participants: dict[int, set[int]] = {
         runs_i: {log.records[i].edges[0][0] for i in run}
         for runs_i, run in enumerate(runs)
     }
+    # The snapshots read Breaker edges only between two participants of
+    # one run, so only edges between participants (of any run) are kept.
+    badj: dict[int, set[int]] = {
+        x: set() for part in participants.values() for x in part}
     run_of = {}
     for ri, run in enumerate(runs):
         for i in run:
@@ -345,8 +348,9 @@ def potential_audit(log: GameLog) -> list[PotentialRun]:
             for u, v in rec.edges:
                 breaker_deg[u] += 1
                 breaker_deg[v] += 1
-                badj.setdefault(u, set()).add(v)
-                badj.setdefault(v, set()).add(u)
+                if u in badj and v in badj:
+                    badj[u].add(v)
+                    badj[v].add(u)
             for v in rec.promoted:
                 trouble[v] = 1
         else:
@@ -356,8 +360,7 @@ def potential_audit(log: GameLog) -> list[PotentialRun]:
                 snapshots[idx] = (
                     {x: breaker_deg[x] for x in part},
                     {x: served[x] for x in part},
-                    {x: frozenset(badj.get(x, ()) ) & frozenset(part)
-                     for x in part},
+                    {x: badj[x] & part for x in part},
                 )
             for u, v in rec.edges:
                 if trouble[u]:

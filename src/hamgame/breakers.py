@@ -1,22 +1,26 @@
 """Breaker adversaries.
 
 Every policy claims up to k edges directly on the board and returns the
-list it claimed, in claim order.  k is min(bias, pairs remaining); the
-runner enforces that and logs the result.  Policies are stateful per
-game and deterministic given the rng stream they are handed.
+(u, v) pairs it claimed, in claim order: a list, or an EdgeList, which
+the runner's log record keeps as it is.  k is min(bias, pairs
+remaining); the runner enforces that and logs the result.  Policies are
+stateful per game and deterministic given the rng stream they are
+handed.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from array import array
+from collections.abc import Sequence
+from itertools import chain, islice
 from operator import length_hint
 from random import Random
 
 import numpy as np
 
 from .board import Board, BoardError, bits
-from .gamelog import GameLog
+from .gamelog import EdgeList, GameLog
 from .rotation import endpoint_pairs_scan
 
 
@@ -52,7 +56,7 @@ class BreakerPolicy:
         """Hook: vertices newly flagged troublesome since the last turn."""
 
     def take_turn(self, board: Board, rng: Random, k: int,
-                  maker=None) -> list[tuple[int, int]]:
+                  maker=None) -> Sequence[tuple[int, int]]:
         raise NotImplementedError
 
 
@@ -113,44 +117,47 @@ class RandomBreaker(BreakerPolicy):
         self._block = iter(())
 
     def take_turn(self, board: Board, rng: Random, k: int,
-                  maker=None) -> list[tuple[int, int]]:
+                  maker=None) -> EdgeList:
         n = board.n
         if rng is not self._rng or n != self._n:
             self._rng, self._n = rng, n
             self._block = iter(())
         maker_adj = board.maker_adj
         breaker_adj = board.breaker_adj
-        out: list[tuple[int, int]] = []
+        out = array("I")                # u0, v0, u1, ... of the edges taken
         picked: set[int] = set()        # pair indices drawn this turn
         misses = 0
-        while len(out) < k:
+        while len(picked) < k:
             for t, u, v in self._block:
                 if not (t in picked
                         or (breaker_adj[u] | maker_adj[u]) >> v & 1):
                     picked.add(t)
-                    out.append((u, v))
+                    out.append(u)
+                    out.append(v)
                     misses = 0
-                    if len(out) == k:
+                    if len(picked) == k:
                         break
                 else:
                     misses += 1
                     if misses > 64:
                         # Board nearly full: enumerate what is left instead
                         # of grinding the rejection loop.
-                        board.claim_breaker_edges(out)
+                        board.claim_breaker_edges(EdgeList.from_vertices(out))
                         rest = [
                             (a, c) for a in range(n) for c in bits(
                                 ~(board.maker_adj[a] | board.breaker_adj[a])
                                 & board.full_mask & ~((1 << (a + 1)) - 1))
                         ]
                         self._rewind(rng)
-                        tail = rng.sample(rest, k - len(out))
+                        tail = rng.sample(rest, k - len(picked))
                         board.claim_breaker_edges(tail)
-                        return out + tail
+                        out.extend(chain.from_iterable(tail))
+                        return EdgeList.from_vertices(out)
             else:
                 self._refill(rng, n)
-        board.claim_breaker_edges(out)
-        return out
+        edges = EdgeList.from_vertices(out)
+        board.claim_breaker_edges(edges)
+        return edges
 
 
 class IsolatorBreaker(BreakerPolicy):
@@ -308,7 +315,7 @@ class PairKillerBreaker(BreakerPolicy):
         self._pairs = sorted(pairs)
 
     def take_turn(self, board: Board, rng: Random, k: int,
-                  maker=None) -> list[tuple[int, int]]:
+                  maker=None) -> Sequence[tuple[int, int]]:
         out: list[tuple[int, int]] = []
         if maker is not None and maker.phase == 2 and maker.tracked is not None:
             self._refresh(board, maker)
@@ -318,7 +325,10 @@ class PairKillerBreaker(BreakerPolicy):
                 (p for p in self._pairs if not board.owner(*p)), k))
             board.claim_breaker_edges(out)
         if len(out) < k:
-            out.extend(self.fallback.take_turn(board, rng, k - len(out)))
+            rest = self.fallback.take_turn(board, rng, k - len(out))
+            if not out:
+                return rest
+            out.extend(rest)
         return out
 
 
@@ -350,7 +360,7 @@ class ScriptedBreaker(BreakerPolicy):
         return cls.from_log(GameLog.load(path))
 
     def take_turn(self, board: Board, rng: Random, k: int,
-                  maker=None) -> list[tuple[int, int]]:
+                  maker=None) -> Sequence[tuple[int, int]]:
         if self.cursor >= len(self.turns):
             raise ReplayError(board.turn, "script exhausted")
         moves = self.turns[self.cursor]

@@ -168,7 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"script {args.script}: {err}")
             return 1
         if out is not None:
-            out.write(result.log.dumps())
+            out.writelines(result.log.chunks())
     line = f"{result.outcome} n={cfg.n} b={cfg.b} turns={result.maker_turns}"
     if result.reason:
         line += f" reason={result.reason!r}"
@@ -192,7 +192,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def same_bytes(chunks, data: bytes) -> bool:
+    """Whether the text `chunks` give, UTF-8 encoded, is `data`: each
+    chunk is compared where the last one ended, up to the first that
+    differs, and the two must end together."""
+    offset = 0
+    with memoryview(data) as view:
+        for chunk in chunks:
+            piece = chunk.encode()
+            if view[offset:offset + len(piece)] != piece:
+                return False
+            offset += len(piece)
+    return offset == len(data)
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
+    """Check a saved log: parse it, rebuild its final position and match
+    the logged fingerprint, then rerun the engine against its Breaker
+    moves and compare the rerun's log with the file's bytes a chunk at a
+    time.  Prints one verdict line (see the README)."""
     from .gamelog import apply_log, board_fingerprint
 
     try:
@@ -222,7 +240,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ReplayError as err:
         print(f"MISMATCH: engine rerun diverged: {err}")
         return 1
-    if result.log.dumps().encode() != data:
+    if not same_bytes(result.log.chunks(), data):
         print("MISMATCH: engine rerun diverged from saved log")
         return 1
     print(f"OK fingerprint={fp}")

@@ -3,7 +3,9 @@
 Layout: a header line carrying the game parameters, one line per
 half-move, and a final end line with the outcome and (for wins) the
 cycle certificate plus a state fingerprint.  Key order is fixed at
-construction so identical games serialize to identical bytes.
+construction so identical games serialize to identical bytes.  A log is
+written, compared and read LOG_CHUNK_RECORDS records at a time, so its
+whole text is never built unless a caller asks for it (GameLog.dumps).
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import hashlib
 import json
 import struct
 import sys
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -45,9 +48,11 @@ class EdgeList(Sequence):
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[int]) -> "EdgeList":
-        """The edges (vertices[0], vertices[1]), (vertices[2], ...)."""
+        """The edges (vertices[0], vertices[1]), (vertices[2], ...).  An
+        array("I") of them is taken over as its bytes."""
         edges = cls.__new__(cls)
-        edges.flat = pack_vertices(vertices)
+        edges.flat = vertices.tobytes() if isinstance(vertices, array) \
+            else pack_vertices(vertices)
         return edges
 
     def __len__(self) -> int:
@@ -162,46 +167,59 @@ class MoveRecord:
 @functools.lru_cache(maxsize=4)
 def edge_text_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     """For each vertex id x below `size`, the text that opens an edge at
-    x, "[x,", and the text that closes one, "x],", each padded with zero
-    bytes to whole 8-byte words: a (size, 2, words) uint64 array.  Also
-    len("[x,") for each x."""
+    x, "[x,", in row 2x and the text that closes one, "x],", in row
+    2x + 1, each padded with zero bytes to whole 8-byte words: a
+    (2 * size, words) uint64 array.  Also len("[x,") for each x."""
     ids = [b"%d" % x for x in range(size)]
     width = -(-(len(ids[-1]) + 2) // 8) * 8
     text = np.array([(b"[" + x + b",", x + b"],") for x in ids],
                     dtype=f"S{width}")
     lengths = np.array([len(x) + 2 for x in ids], np.uint8)
     text.flags.writeable = lengths.flags.writeable = False   # shared
-    return text.view(np.uint64).reshape(size, 2, width // 8), lengths
+    return text.view(np.uint64).reshape(2 * size, width // 8), lengths
 
 
-def edge_texts(records: Sequence[MoveRecord]) -> list[str]:
+def record_vertices(records: Sequence[MoveRecord]) -> np.ndarray:
+    """The records' edges' vertex ids u0, v0, u1, ..., one after another."""
+    return np.frombuffer(b"".join(rec.edges.flat for rec in records),
+                         np.uint32)
+
+
+def edge_texts(records: Sequence[MoveRecord], top: int = 0) -> list[str]:
     """Each record's edges as json.dumps writes them between the list's
-    brackets, "[u,v],[u,v]", formatted for all records at once."""
-    vertices = np.frombuffer(b"".join(rec.edges.flat for rec in records),
-                             np.uint32)
+    brackets, "[u,v],[u,v]", formatted for all records at once.  The
+    table of ids' text covers `top` and above, so the chunks of one log
+    share a table."""
+    vertices = record_vertices(records)
     if not vertices.size:
         return [""] * len(records)
     # Sized by a power of two, so every log of one n shares a table.
-    table, lengths = edge_text_table(1 << int(vertices.max()).bit_length())
-    u, v = vertices[0::2], vertices[1::2]
-    cells = np.stack((table[u, 0], table[v, 1]), axis=1).view(np.uint8)
-    text = cells[cells != 0].tobytes().decode("ascii")
-    # Where each edge's text starts, then where each record's starts.
-    starts = np.zeros(len(u) + 1, np.int64)
-    np.cumsum(lengths[u] + lengths[v], out=starts[1:])
-    bounds = starts[np.cumsum([0] + [len(rec.edges) for rec in records])]
+    top = max(top, int(vertices.max()))
+    table, lengths = edge_text_table(1 << top.bit_length())
+    # Cell 2i opens edge i at its u, cell 2i + 1 closes it at its v.  (A
+    # table row past 2**32 would not fit in memory.)
+    rows = vertices * 2
+    rows[1::2] += 1
+    cells = table[rows].view(np.uint8)
+    del rows
+    text = str(cells[cells != 0], "ascii")
+    del cells
+    # Where each cell's text starts, then where each record's starts.
+    starts = np.zeros(vertices.size + 1, np.int64)
+    np.cumsum(lengths[vertices], out=starts[1:])
+    bounds = starts[2 * np.cumsum([0] + [len(rec.edges) for rec in records])]
     bounds = bounds.tolist()
     # Each edge's text ends in a comma; the last one's is dropped.
     return [text[a:b - 1] if b > a else ""
             for a, b in zip(bounds, bounds[1:])]
 
 
-def record_lines(records: Sequence[MoveRecord]) -> list[str]:
+def record_lines(records: Sequence[MoveRecord], top: int = 0) -> list[str]:
     """The log line of each record, byte for byte what json.dumps writes
     for {"turn", "player", "edges", ["case"], ["promoted"]} with no
-    spaces."""
+    spaces.  `top` is as for edge_texts."""
     lines = []
-    for rec, edges in zip(records, edge_texts(records)):
+    for rec, edges in zip(records, edge_texts(records, top)):
         line = (f'{{"turn":{rec.turn},"player":'
                 f'{encode_basestring_ascii(rec.player)},"edges":[{edges}]')
         if rec.case is not None:
@@ -315,39 +333,97 @@ def board_fingerprint(board: Board) -> str:
     return h.hexdigest()
 
 
+# A log is written and compared this many records at a time.
+LOG_CHUNK_RECORDS = 64
+
+# Bytes are checked to be UTF-8 about this many at a time.
+UTF8_CHECK_BYTES = 1 << 16
+
+
+def check_utf8(data: bytes) -> None:
+    """If `data` is not UTF-8, a LogFormatError on the line of its first
+    bad byte.  Decoded a slice at a time, each cut just after a newline,
+    which is never inside a multi-byte character."""
+    start = 0
+    with memoryview(data) as view:
+        while start < len(data):
+            end = data.find(b"\n", start + UTF8_CHECK_BYTES) + 1 or len(data)
+            try:
+                str(view[start:end], "utf-8")
+            except UnicodeDecodeError as err:
+                line = data.count(b"\n", 0, start + err.start) + 1
+                raise LogFormatError(line, "not UTF-8") from None
+            start = end
+
+
+def log_lines(text: str | bytes) -> Iterator[str]:
+    """The lines that text.split("\n") gives, one at a time, without
+    building that list.  Bytes are checked with check_utf8 before the
+    first line is given, then decoded a line at a time."""
+    binary = isinstance(text, bytes)
+    if binary:
+        check_utf8(text)
+    newline = b"\n" if binary else "\n"
+    start = 0
+    while True:
+        end = text.find(newline, start)
+        line = text[start:] if end < 0 else text[start:end]
+        yield line.decode() if binary else line
+        if end < 0:
+            return
+        start = end + 1
+
+
 @dataclass
 class GameLog:
+    """A game's header (`meta`), move records and end record.  Its text
+    is produced by chunks(), LOG_CHUNK_RECORDS records at a time; write
+    and `hamgame run --out` write it chunk by chunk and `hamgame replay`
+    compares it with a file chunk by chunk, so only dumps, for callers
+    that want the whole text, builds it."""
+
     meta: dict
     records: list[MoveRecord] = field(default_factory=list)
     end: dict | None = None
 
-    def dumps(self) -> str:
-        lines = [json.dumps({"meta": self.meta}, separators=SEPARATORS)]
-        lines.extend(record_lines(self.records))
+    def chunks(self) -> Iterator[str]:
+        """The log's text in pieces: the header line, the lines of each
+        LOG_CHUNK_RECORDS records, then the end line if there is one.
+        Every line ends in a newline."""
+        yield json.dumps({"meta": self.meta}, separators=SEPARATORS) + "\n"
+        records = self.records
+        starts = range(0, len(records), LOG_CHUNK_RECORDS)
+        top = 0     # the largest vertex id: one text table for every chunk
+        for lo in starts:
+            vertices = record_vertices(records[lo:lo + LOG_CHUNK_RECORDS])
+            if vertices.size:
+                top = max(top, int(vertices.max()))
+        for lo in starts:
+            # Nothing of a chunk stays in this frame while the next is made.
+            yield "\n".join(
+                [*record_lines(records[lo:lo + LOG_CHUNK_RECORDS], top), ""])
         if self.end is not None:
-            lines.append(json.dumps({"end": self.end}, separators=SEPARATORS))
-        return "\n".join(lines) + "\n"
+            yield json.dumps({"end": self.end}, separators=SEPARATORS) + "\n"
+
+    def dumps(self) -> str:
+        return "".join(self.chunks())
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+            fh.writelines(self.chunks())
 
     @classmethod
     def parse(cls, text: str | bytes) -> "GameLog":
         """Read a log, checking each line's shape (see MoveRecord.from_json
         for records).  Blank lines are skipped; any other departure from
-        header, records, optional end line is a LogFormatError."""
-        if isinstance(text, bytes):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as err:
-                line = text.count(b"\n", 0, err.start) + 1
-                raise LogFormatError(line, "not UTF-8") from None
+        header, records, optional end line is a LogFormatError.  The text
+        is read a line at a time (log_lines); in bytes, a line that is not
+        UTF-8 is the error even if an earlier line has another."""
         meta: dict | None = None
         records: list[MoveRecord] = []
         end = None
         n = 0
-        for lineno, line in enumerate(text.split("\n"), 1):
+        for lineno, line in enumerate(log_lines(text), 1):
             if not line.strip():
                 continue
             try:

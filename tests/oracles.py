@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
@@ -298,3 +299,115 @@ def log_dumps_reference(log) -> str:
     if log.end is not None:
         lines.append(json.dumps({"end": log.end}, separators=(",", ":")))
     return "\n".join(lines) + "\n"
+
+
+def potential_audit_reference(log):
+    """hamgame.audit.potential_audit as first written: a set of Breaker
+    neighbours for every vertex, snapshots intersected per run.
+
+    Re-derive the danger-potential inequalities for every maximal run
+    of consecutive service turns, exactly (rational arithmetic).
+
+    For run turns j = 1..k with serving tails a_j and suffix sets
+    A_j = {a_m : m >= j}, the potential p(j) averages, over x in A_j,
+    the quantity d(x) = breaker_deg(x) - #(Breaker edges from x into
+    A_j) - b*served(x), sampled just before the j-th serve.  Checks:
+    p(j+1) <= p(j) when A_{j+1} = A_j, else p(j+1) <= p(j) + b/|A_j| + 2,
+    and the aggregate p(k) <= p(1) + 2|A_1| + b*H(|A_1|).
+    """
+    from hamgame.audit import PotentialRun
+
+    n = log.meta["n"]
+    b = log.meta["b"]
+
+    # Pass 1: find the runs (consecutive Maker records labeled Case 2).
+    runs: list[list[int]] = []          # record indices of serve turns
+    current: list[int] = []
+    for idx, rec in enumerate(log.records):
+        if rec.player != "M":
+            continue
+        if rec.case is not None and "C2" in rec.case and rec.edges:
+            current.append(idx)
+        else:
+            if current:
+                runs.append(current)
+            current = []
+    if current:
+        runs.append(current)
+    if not runs:
+        return []
+    serve_indices = {i for run in runs for i in run}
+
+    # Pass 2: replay, snapshotting participant stats before each serve.
+    breaker_deg = [0] * n
+    served = [0] * n
+    trouble = bytearray(n)
+    badj: dict[int, set[int]] = {}
+    participants: dict[int, set[int]] = {
+        runs_i: {log.records[i].edges[0][0] for i in run}
+        for runs_i, run in enumerate(runs)
+    }
+    run_of = {}
+    for ri, run in enumerate(runs):
+        for i in run:
+            run_of[i] = ri
+    snapshots: dict[int, tuple] = {}
+    for idx, rec in enumerate(log.records):
+        if rec.player == "B":
+            for u, v in rec.edges:
+                breaker_deg[u] += 1
+                breaker_deg[v] += 1
+                badj.setdefault(u, set()).add(v)
+                badj.setdefault(v, set()).add(u)
+            for v in rec.promoted:
+                trouble[v] = 1
+        else:
+            if idx in serve_indices:
+                ri = run_of[idx]
+                part = participants[ri]
+                snapshots[idx] = (
+                    {x: breaker_deg[x] for x in part},
+                    {x: served[x] for x in part},
+                    {x: frozenset(badj.get(x, ())) & frozenset(part)
+                     for x in part},
+                )
+            for u, v in rec.edges:
+                if trouble[u]:
+                    served[u] += 1
+
+    out: list[PotentialRun] = []
+    for run in runs:
+        tails = [log.records[i].edges[0][0] for i in run]
+        k = len(tails)
+        suffix_sets = [None] * (k + 1)
+        acc: set[int] = set()
+        for j in range(k, 0, -1):
+            acc = acc | {tails[j - 1]}
+            suffix_sets[j] = frozenset(acc)
+
+        def potential(j: int) -> Fraction:
+            degs, srv, adj = snapshots[run[j - 1]]
+            active = suffix_sets[j]
+            total = 0
+            for x in active:
+                total += degs[x] - len(adj[x] & active) - b * srv[x]
+            return Fraction(total, len(active))
+
+        p = [None] + [potential(j) for j in range(1, k + 1)]
+        result = PotentialRun(start_turn=log.records[run[0]].turn,
+                              serves=tails, step_ok=[], step_margin=[])
+        for j in range(1, k):
+            if suffix_sets[j + 1] == suffix_sets[j]:
+                bound = p[j]
+            else:
+                bound = p[j] + Fraction(b, len(suffix_sets[j])) + 2
+            margin = bound - p[j + 1]
+            result.step_ok.append(margin >= 0)
+            result.step_margin.append(margin)
+        a1 = len(suffix_sets[1])
+        harmonic = sum(Fraction(1, r) for r in range(1, a1 + 1))
+        agg_bound = p[1] + 2 * a1 + b * harmonic
+        result.aggregate_margin = agg_bound - p[k]
+        result.aggregate_ok = result.aggregate_margin >= 0
+        out.append(result)
+    return out

@@ -1,8 +1,11 @@
 """Audit layer: each check against a hand-computed or brute-force route."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+
+import pytest
 
 from hamgame.audit import (
     FAILURE_CAP,
@@ -19,6 +22,7 @@ from hamgame.board import Board, GameConfig, MAKER, bits
 from hamgame.gamelog import GameLog, MoveRecord
 from hamgame.paths import PathSystem
 from hamgame.runner import game_rng, run_game
+from oracles import potential_audit_reference
 
 
 def state(n, edges=(), settled=None):
@@ -147,6 +151,52 @@ class TestPotential:
              MoveRecord(1, "M", [], case="P1.C2")),
         ])
         assert potential_audit(log) == []
+
+
+class TestPotentialReference:
+    """potential_audit keeps only the Breaker edges between service
+    participants; its runs equal those of the first version, which kept
+    every Breaker edge."""
+
+    @pytest.mark.parametrize("n", [200, 300])
+    @pytest.mark.parametrize("policy", ["isolator", "maxdanger",
+                                        "pairkiller", "random"])
+    def test_engine_logs(self, n, policy):
+        cfg = GameConfig.scaled(n, seed=1, audit_level="cheap")
+        log = run_game(cfg, policy).log
+        assert potential_audit(log) == potential_audit_reference(log)
+
+    def test_later_run_with_breaker_edges_inside_it(self):
+        # Run 2 serves 5 then 0, and Breaker owns (0, 5): its potentials
+        # count that edge, though run 1 served 0 alone.
+        log = serve_log(3, [
+            ([(0, 1), (0, 2), (0, 3)], [0],
+             MoveRecord(1, "M", [(0, 4)], case="P1.C2", promoted=[4])),
+            ([], [], MoveRecord(2, "M", [(6, 7)], case="P1.C1.1")),
+            ([(5, 1), (5, 2), (5, 0)], [5],
+             MoveRecord(3, "M", [(5, 4)], case="P1.C2", promoted=[4])),
+            ([(0, 7)], [],
+             MoveRecord(4, "M", [(0, 6)], case="P1.C2", promoted=[6])),
+        ])
+        runs = potential_audit(log)
+        assert [r.serves for r in runs] == [[0], [5, 0]]
+        assert runs == potential_audit_reference(log)
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in vars(TestPotential) if name.startswith("test_")))
+    def test_fixture_logs(self, monkeypatch, name):
+        logs = []
+        audit = potential_audit
+
+        def both(log):
+            logs.append(log)
+            runs = audit(log)
+            assert runs == potential_audit_reference(log)
+            return runs
+
+        monkeypatch.setattr(sys.modules[__name__], "potential_audit", both)
+        getattr(TestPotential(), name)()
+        assert logs
 
 
 def brute_expansion_failures(board, ps, growth_fraction, nonempty_fraction):

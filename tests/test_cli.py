@@ -302,6 +302,44 @@ class TestReplayCommand:
         assert capsys.readouterr().out.startswith("OK fingerprint=")
 
 
+def blank_line_in_the_middle(data):
+    lines = data.split(b"\n")
+    mid = len(lines) // 2
+    return b"\n".join(lines[:mid] + [b""] + lines[mid:])
+
+
+class TestReplayVerdicts:
+    """replay compares the rerun with the file a chunk at a time; each
+    edited copy of one log still gets the verdict the whole-text
+    comparison gave."""
+
+    MISMATCH = "MISMATCH: engine rerun diverged from saved log\n"
+
+    @pytest.mark.parametrize("edit, verdict", [
+        (lambda data: data + b"\n", MISMATCH),
+        (lambda data: data[:-1], MISMATCH),
+        (lambda data: data.replace(b"\n", b"\r\n"), MISMATCH),
+        (blank_line_in_the_middle, MISMATCH),
+        (lambda data: data[:len(data) // 2],
+         "INVALID log: line 111: not JSON: Expecting ':' delimiter at "
+         "column 20\n"),
+        (lambda data: data[:-3] + b"@" + data[-2:],
+         "INVALID log: line 210: not JSON: Expecting ',' delimiter at "
+         "column 718\n"),
+    ], ids=["extra-final-newline", "no-final-newline", "crlf",
+            "blank-line", "truncated", "end-line-byte"])
+    def test_edited_log(self, tmp_path, capsys, edit, verdict):
+        path = tmp_path / "game.jsonl"
+        run_cli("run", "--n", "60", "--seed", "11", "--out", str(path))
+        capsys.readouterr()
+        assert run_cli("replay", str(path)) == 0
+        assert capsys.readouterr().out == "OK fingerprint=fce968e75ba23db9" \
+            "1b27bc35c927bacdcbed03023b4e7e1dc00aa10d09ae3ac4\n"
+        path.write_bytes(edit(path.read_bytes()))
+        assert run_cli("replay", str(path)) == 1
+        assert capsys.readouterr().out == verdict
+
+
 class TestAuditCommand:
     def test_winning_log_passes(self, tmp_path, capsys):
         out = tmp_path / "game.jsonl"

@@ -5,12 +5,15 @@ import json
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+from hamgame import cli
 from hamgame.board import BREAKER, MAKER, AuditLevel, Board, GameConfig
 from hamgame.gamelog import (
     FINGERPRINT_CHUNK_ROWS,
+    LOG_CHUNK_RECORDS,
     EdgeList,
     GameLog,
     LogFormatError,
@@ -165,6 +168,77 @@ class TestMemory:
         assert engine <= 20 and parsed <= 20, (engine, parsed)
 
 
+    def test_write_and_parse_hold_little_beyond_the_log(self, tmp_path):
+        """write holds one chunk of records' text at a time, and parse
+        holds one line beside the records it builds."""
+        log = run_game(GameConfig.scaled(1000, seed=0)).log
+        text = log.dumps()      # also builds the table of ids' text first
+        tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            log.write(str(tmp_path / "game.jsonl"))
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+            parse_peaks = []
+            for data in (text, text.encode()):
+                gc.collect()
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                parsed = GameLog.parse(data)
+                held, peak = tracemalloc.get_traced_memory()
+                parse_peaks.append((peak - base, held - base))
+                del parsed
+        finally:
+            tracemalloc.stop()
+        assert write_peak < len(text) / 4, (write_peak, len(text))
+        for peak, held in parse_peaks:
+            assert peak < held + 32 * 1024, (peak, held)
+
+
+def chunked_log(count, end):
+    """A log of `count` random records whose vertex ids reach different
+    heights in different chunks, with or without an end line."""
+    rng = random.Random(count)
+    log = GameLog(meta={**config_meta(small_cfg(), "random"), "n": 1 << 17})
+    log.records = [random_record(rng, rng.choice([3, 1000, 70_000]))
+                   for _ in range(count)]
+    if end:
+        log.end = {"outcome": "Timeout", "case": "\u00e9"}
+    return log
+
+
+class TestChunks:
+    """A log's text is the same however its records fall into chunks."""
+
+    @pytest.mark.parametrize("end", [False, True])
+    @pytest.mark.parametrize("count", [
+        0, 1, LOG_CHUNK_RECORDS - 1, LOG_CHUNK_RECORDS, LOG_CHUNK_RECORDS + 1,
+        2 * LOG_CHUNK_RECORDS + 1])
+    def test_writers_agree_at_chunk_boundaries(self, tmp_path, monkeypatch,
+                                               capsys, count, end):
+        log = chunked_log(count, end)
+        text = log.dumps()
+        assert text == log_dumps_reference(log)
+        assert len(list(log.chunks())) == \
+            1 + -(-count // LOG_CHUNK_RECORDS) + end
+        path = tmp_path / "write.jsonl"
+        log.write(str(path))
+        assert path.read_bytes() == text.encode()
+
+        game = SimpleNamespace(log=log, outcome="Timeout", maker_turns=0,
+                               reason=None, stats={})
+        monkeypatch.setattr(cli, "run_game", lambda cfg, policy: game)
+        out = tmp_path / "run.jsonl"
+        assert cli.main(["run", "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
+        back = GameLog.parse(text)
+        assert (back.meta, back.records, back.end) == \
+            (log.meta, log.records, log.end)
+        assert back.dumps() == text
+
+
 class TestGameLog:
     def test_dumps_parse_round_trip_is_byte_exact(self):
         log = sample_log()
@@ -315,6 +389,15 @@ class TestStrictParse:
         lines[2] = lines[2].replace(b"P1", b"P\xff")
         with pytest.raises(LogFormatError, match="^line 3: not UTF-8"):
             GameLog.parse(b"\n".join(lines))
+
+    def test_a_line_that_is_not_utf8_wins_over_an_earlier_error(self):
+        lines = sample_log().dumps().encode().split(b"\n")
+        lines[1] = lines[1][:20]                    # not JSON
+        lines[4] = lines[4].replace(b"P1", b"P\xff")
+        with pytest.raises(LogFormatError, match="^line 5: not UTF-8$"):
+            GameLog.parse(b"\n".join(lines))
+        with pytest.raises(LogFormatError, match="^line 2: not JSON"):
+            GameLog.parse(b"\n".join(lines[:4]))
 
     def test_crlf_line_ends_parse(self):
         text = sample_log().dumps()
