@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import inspect
 import math
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -173,8 +175,11 @@ class Board:
     {u, v}, and the rows are symmetric.  `owner` reads them.
     `deg_le1_mask` keeps the vertices whose Maker degree is still <= 1
     (the joinable-endpoint filter).  Every Breaker claim goes through
-    `claim_breaker_edges`, which also feeds `refresh_troublesome` the
-    vertices whose Breaker degree is above the trouble threshold.
+    `claim_breaker_draws`, which also feeds `refresh_troublesome` the
+    vertices whose Breaker degree is above the trouble threshold: the
+    random Breaker hands it its draws, and `claim_breaker_edges`, the
+    strict form every other claim takes, raises at the first edge that
+    is not free.
     """
 
     __slots__ = (
@@ -226,29 +231,44 @@ class Board:
             who = "Maker" if who == MAKER else "Breaker"
             raise BoardError(f"edge ({u}, {v}) already claimed by {who}")
 
-    def claim_breaker_edges(self, edges) -> None:
-        """Claim every edge of `edges` for Breaker, in order.
+    def claim_breaker_draws(self, draws: Iterable[tuple[int, int]], k: int,
+                            out: array | None, misses: int,
+                            max_misses: int) -> int:
+        """Claim free edges of `draws` for Breaker as they come, until k
+        are claimed or more than `max_misses` draws in a row were already
+        owned; return the run of owned draws it stopped on.
 
-        Each edge gets the checks of `claim_edge`; an edge repeated within
-        the batch is already claimed when its second copy comes up.  On a
-        BoardError the edges before the bad one stay claimed, exactly as
-        if they had been claimed one call at a time.  A vertex enters the
-        refresh set only once its Breaker degree is above the trouble
-        threshold: degrees never drop, so no vertex at or below it can be
-        newly troublesome.
+        `misses` is the run carried in from an earlier call, so a run may
+        span several.  Each claimed edge appends its u and v to `out`,
+        when one is given.  An edge repeated among the draws is owned by
+        Breaker when its second copy comes up, so it is a miss.  A
+        self-loop or out-of-range draw raises BoardError; the edges
+        claimed before it stay claimed.  A vertex enters the refresh set
+        only once its Breaker degree is above the trouble threshold:
+        degrees never drop, so no vertex at or below it can be newly
+        troublesome.
         """
+        if k <= 0:
+            return misses
         n = self.n
         adj = self.breaker_adj
         madj = self.maker_adj
         deg = self.breaker_deg
-        thr = self.cfg.trouble_threshold
+        # An int degree is above the threshold iff above its floor, and an
+        # int-int comparison is the cheaper one.
+        thr = math.floor(self.cfg.trouble_threshold)
         touched = self._touched
+        append = None if out is None else out.append
         claimed = 0
         try:
-            for u, v in edges:
-                if u == v or not (0 <= u < n and 0 <= v < n) \
-                        or (adj[u] | madj[u]) >> v & 1:
-                    self._check_free(u, v)      # raises with the reason
+            for u, v in draws:
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    self._check_free(u, v)      # raises "bad edge"
+                if (adj[u] | madj[u]) >> v & 1:
+                    misses += 1
+                    if misses > max_misses:
+                        break
+                    continue
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 du = deg[u] + 1
@@ -259,9 +279,29 @@ class Board:
                     touched.add(u)
                 if dv > thr:
                     touched.add(v)
+                if append:
+                    append(u)
+                    append(v)
+                misses = 0
                 claimed += 1
+                if claimed == k:
+                    break
         finally:
             self.breaker_edges += claimed
+        return misses
+
+    def claim_breaker_edges(self, edges: Sequence[tuple[int, int]]) -> None:
+        """Claim every edge of `edges` for Breaker, in order.
+
+        Each edge gets the checks of `claim_edge`; an edge repeated within
+        the batch is already claimed when its second copy comes up.  On a
+        BoardError the edges before the bad one stay claimed, exactly as
+        if they had been claimed one call at a time.
+        """
+        before = self.breaker_edges
+        if self.claim_breaker_draws(edges, len(edges), None, 0, 0):
+            # raises: the edge after the claimed ones is owned
+            self._check_free(*edges[self.breaker_edges - before])
 
     def claim_edge(self, tail: int, head: int, player: int) -> None:
         """Claim the edge {tail, head} for `player`.
@@ -310,7 +350,7 @@ class Board:
         cleared) and onset records the turn of first crossing.  Returns
         newly flagged vertices in increasing order.  Only vertices that
         Breaker claims reached above the threshold since the last call
-        are candidates (see `claim_breaker_edges`).
+        are candidates (see `claim_breaker_draws`).
         """
         if not self._touched:
             return []

@@ -46,6 +46,7 @@ def pairs_from_indices(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The random Breaker decodes its draws from this many words at a time.
+# Even, so that a block holds whole tries where a try is two words.
 BLOCK_WORDS = 4096
 
 
@@ -64,7 +65,12 @@ class RandomBreaker(BreakerPolicy):
     """Uniform unclaimed pairs, without replacement within the turn.
 
     A draw is `rng.randrange(C(n,2))` decoded to the t-th pair in
-    lexicographic order (pairs_from_indices).
+    lexicographic order (pairs_from_indices).  `Board.claim_breaker_draws`
+    claims each draw as it is tested, so a pair this turn's own earlier
+    claims took is a miss like any other owned pair.  After more than
+    MAX_MISSES misses in a row the board is nearly full, and the rest of
+    the turn is an `rng.sample` of the pairs still free.
+
     randrange tries `getrandbits(w)`, w = C(n,2).bit_length(), until the
     value is below C(n,2).  A try spends one 32-bit word and keeps its
     top w bits while w <= 32; above that it spends two, the low word
@@ -79,13 +85,14 @@ class RandomBreaker(BreakerPolicy):
     """
 
     name = "random"
+    MAX_MISSES = 64
 
     def __init__(self) -> None:
         self._rng: Random | None = None
         self._n = 0
-        self._block = iter(())      # (t, u, v) draws not yet handed out
+        self._block = iter(())      # (u, v) draws not yet handed out
         self._state = None          # rng state before the block's words
-        self._ts = iter(())         # the block's t's, consumed with it
+        self._us = iter(())         # the block's u's, consumed with it
         self._spent = None          # per draw, the tries spent through it
         self._step = 1              # words per try
 
@@ -101,16 +108,15 @@ class RandomBreaker(BreakerPolicy):
         r = tries >> (32 - width) if step == 1 \
             else tries & 0xFFFFFFFF | tries >> (96 - width) << 32
         kept = np.flatnonzero(r < total)
-        t = r[kept].astype(np.int64)
-        u, v = pairs_from_indices(n, t)
+        u, v = pairs_from_indices(n, r[kept].astype(np.int64))
         self._spent = kept + 1
-        self._ts = iter(t.tolist())
-        self._block = zip(self._ts, u.tolist(), v.tolist())
+        self._us = iter(u.tolist())
+        self._block = zip(self._us, v.tolist())
 
     def _rewind(self, rng: Random) -> None:
         """Put rng just past the last draw handed out and drop the rest
         of the block."""
-        handed = len(self._spent) - length_hint(self._ts)
+        handed = len(self._spent) - length_hint(self._us)
         rng.setstate(self._state)
         if handed:
             rng.getrandbits(32 * self._step * int(self._spent[handed - 1]))
@@ -122,42 +128,26 @@ class RandomBreaker(BreakerPolicy):
         if rng is not self._rng or n != self._n:
             self._rng, self._n = rng, n
             self._block = iter(())
-        maker_adj = board.maker_adj
-        breaker_adj = board.breaker_adj
         out = array("I")                # u0, v0, u1, ... of the edges taken
-        picked: set[int] = set()        # pair indices drawn this turn
         misses = 0
-        while len(picked) < k:
-            for t, u, v in self._block:
-                if not (t in picked
-                        or (breaker_adj[u] | maker_adj[u]) >> v & 1):
-                    picked.add(t)
-                    out.append(u)
-                    out.append(v)
-                    misses = 0
-                    if len(picked) == k:
-                        break
-                else:
-                    misses += 1
-                    if misses > 64:
-                        # Board nearly full: enumerate what is left instead
-                        # of grinding the rejection loop.
-                        board.claim_breaker_edges(EdgeList.from_vertices(out))
-                        rest = [
-                            (a, c) for a in range(n) for c in bits(
-                                ~(board.maker_adj[a] | board.breaker_adj[a])
-                                & board.full_mask & ~((1 << (a + 1)) - 1))
-                        ]
-                        self._rewind(rng)
-                        tail = rng.sample(rest, k - len(picked))
-                        board.claim_breaker_edges(tail)
-                        out.extend(chain.from_iterable(tail))
-                        return EdgeList.from_vertices(out)
-            else:
-                self._refill(rng, n)
-        edges = EdgeList.from_vertices(out)
-        board.claim_breaker_edges(edges)
-        return edges
+        while True:
+            misses = board.claim_breaker_draws(
+                self._block, k - len(out) // 2, out, misses, self.MAX_MISSES)
+            if len(out) == 2 * k:
+                break
+            if misses > self.MAX_MISSES:
+                rest = [
+                    (a, c) for a in range(n) for c in bits(
+                        ~(board.maker_adj[a] | board.breaker_adj[a])
+                        & board.full_mask & ~((1 << (a + 1)) - 1))
+                ]
+                self._rewind(rng)
+                tail = rng.sample(rest, k - len(out) // 2)
+                board.claim_breaker_edges(tail)
+                out.extend(chain.from_iterable(tail))
+                break
+            self._refill(rng, n)
+        return EdgeList.from_vertices(out)
 
 
 class IsolatorBreaker(BreakerPolicy):

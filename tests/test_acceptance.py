@@ -28,6 +28,8 @@ from hamgame.gamelog import apply_log, board_fingerprint
 from hamgame.rotation import endpoint_pairs_scan, limited_rotation_closure
 from hamgame.runner import ABORTED, MAKER_WIN, hash_seed, run_game
 
+pytestmark = pytest.mark.slow
+
 ART = Path(__file__).resolve().parent.parent / "artifacts"
 POLICIES = ("random", "isolator", "maxdanger", "pairkiller")
 

@@ -1,5 +1,7 @@
 """Board state: claims, counters, trouble flags, fingerprints."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +250,74 @@ class TestBulkClaims:
         assert board.refresh_troublesome() == []
         board.claim_breaker_edges([(4, 1), (0, 5), (0, 6)])
         assert board.refresh_troublesome() == [0, 1]
+
+
+class TestDrawClaims:
+    """`claim_breaker_draws`, the loop the random Breaker's draws go
+    through as they are drawn."""
+
+    def test_repeated_pair_is_claimed_once_and_counts_as_a_miss(self):
+        board = Board(small_cfg())
+        out = array("I")
+        misses = board.claim_breaker_draws(
+            [(0, 1), (2, 3), (0, 1), (1, 0)], 5, out, 0, 64)
+        assert misses == 2
+        assert out.tolist() == [0, 1, 2, 3]
+        assert board.breaker_edges == 2
+        assert board.breaker_deg[:4] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("bad", [(4, 4), (3, 12), (-1, 3)])
+    def test_bad_draw_raises_and_keeps_the_claims_before_it(self, bad):
+        board = Board(small_cfg())
+        board.claim_edge(6, 7, MAKER)
+        out = array("I")
+        with pytest.raises(BoardError,
+                           match=rf"^bad edge \({bad[0]}, {bad[1]}\)$"):
+            board.claim_breaker_draws(
+                [(8, 9), (7, 6), bad, (2, 3)], 5, out, 0, 64)
+        assert out.tolist() == [8, 9]
+        assert board.owner(8, 9) == BREAKER
+        assert board.owner(2, 3) == 0
+        assert board.breaker_edges == 1
+        assert board.recompute_counters()["breaker_deg"] == board.breaker_deg
+
+    def test_stops_after_more_than_max_misses_in_a_row(self):
+        board = Board(small_cfg())
+        for v in (1, 2, 3):
+            board.claim_edge(0, v, MAKER)
+        draws = iter([(0, 1), (0, 2), (0, 3), (4, 5)])
+        out = array("I")
+        assert board.claim_breaker_draws(draws, 5, out, 0, 2) == 3
+        assert next(draws) == (4, 5)
+        assert not out and board.breaker_edges == 0
+
+    def test_a_run_carries_in_and_a_claim_ends_it(self):
+        board = Board(small_cfg())
+        for v in (1, 2, 3):
+            board.claim_edge(0, v, MAKER)
+        out = array("I")
+        assert board.claim_breaker_draws(
+            iter([(0, 1), (0, 2), (4, 5)]), 5, out, 2, 3) == 4
+        assert not out
+        assert board.claim_breaker_draws(
+            iter([(0, 3), (4, 5), (0, 1)]), 5, out, 2, 3) == 1
+        assert out.tolist() == [4, 5]
+
+    def test_stops_at_k_claims(self):
+        board = Board(small_cfg())
+        draws = iter([(0, 1), (2, 3), (4, 5)])
+        out = array("I")
+        assert board.claim_breaker_draws(draws, 2, out, 0, 64) == 0
+        assert out.tolist() == [0, 1, 2, 3]
+        assert next(draws) == (4, 5)
+
+    def test_claims_nothing_when_k_is_zero(self):
+        board = Board(small_cfg())
+        draws = iter([(0, 1)])
+        out = array("I")
+        assert board.claim_breaker_draws(draws, 0, out, 7, 64) == 7
+        assert next(draws) == (0, 1)
+        assert not out and board.breaker_edges == 0
 
 
 @settings(max_examples=60, deadline=None)

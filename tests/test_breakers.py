@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hamgame import breakers
 from hamgame.board import BREAKER, MAKER, UNCLAIMED, Board, GameConfig
 from hamgame.breakers import (
     IsolatorBreaker,
@@ -154,6 +155,15 @@ class TestBlockDraws:
         pol = RandomBreaker()
         first = pol.take_turn(fresh_board(), Random(5), 4)
         assert pol.take_turn(fresh_board(), Random(5), 4) == first
+
+
+class TestSmallBlockDraws(TestBlockDraws):
+    """The same checks with blocks of a few words, so that turns and runs
+    of misses straddle refills and the run carries across them."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(breakers, "BLOCK_WORDS", 6)
 
 
 class TestRandomBreaker:
