@@ -16,6 +16,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 UNCLAIMED = 0
 MAKER = 1
@@ -174,12 +175,14 @@ class Board:
     `maker_adj[u]` (`breaker_adj[u]`) is set iff Maker (Breaker) owns
     {u, v}, and the rows are symmetric.  `owner` reads them.
     `deg_le1_mask` keeps the vertices whose Maker degree is still <= 1
-    (the joinable-endpoint filter).  Every Breaker claim goes through
-    `claim_breaker_draws`, which also feeds `refresh_troublesome` the
-    vertices whose Breaker degree is above the trouble threshold: the
-    random Breaker hands it its draws, and `claim_breaker_edges`, the
-    strict form every other claim takes, raises at the first edge that
-    is not free.
+    (the joinable-endpoint filter).  Breaker claims take one of three
+    routes: the random Breaker hands its draws to `claim_breaker_draws`;
+    `claim_breaker_edges`, the strict form of that loop, raises at the
+    first edge that is not free; and `claim_breaker_star` claims a
+    star-claiming Breaker's whole star at once, handing any star it
+    cannot claim whole to `claim_breaker_edges`.  All three leave the
+    degree counts, and the vertices `refresh_troublesome` must look at,
+    to `_count_breaker_claims`.
     """
 
     __slots__ = (
@@ -231,6 +234,24 @@ class Board:
             who = "Maker" if who == MAKER else "Breaker"
             raise BoardError(f"edge ({u}, {v}) already claimed by {who}")
 
+    def _count_breaker_claims(self, ends: Iterable[int], edges: int) -> None:
+        """Degree and trouble bookkeeping for `edges` Breaker edges whose
+        rows are already set: each vertex of `ends` gains one Breaker
+        degree per appearance.  A vertex enters the refresh set only once
+        its Breaker degree is above the trouble threshold: degrees never
+        drop, so no vertex at or below it can be newly troublesome."""
+        deg = self.breaker_deg
+        # An int degree is above the threshold iff above its floor, and an
+        # int-int comparison is the cheaper one.
+        thr = math.floor(self.cfg.trouble_threshold)
+        touched = self._touched
+        for v in ends:
+            d = deg[v] + 1
+            deg[v] = d
+            if d > thr:
+                touched.add(v)
+        self.breaker_edges += edges
+
     def claim_breaker_draws(self, draws: Iterable[tuple[int, int]], k: int,
                             out: array | None, misses: int,
                             max_misses: int) -> int:
@@ -243,22 +264,16 @@ class Board:
         when one is given.  An edge repeated among the draws is owned by
         Breaker when its second copy comes up, so it is a miss.  A
         self-loop or out-of-range draw raises BoardError; the edges
-        claimed before it stay claimed.  A vertex enters the refresh set
-        only once its Breaker degree is above the trouble threshold:
-        degrees never drop, so no vertex at or below it can be newly
-        troublesome.
+        claimed before it stay claimed.
         """
         if k <= 0:
             return misses
         n = self.n
         adj = self.breaker_adj
         madj = self.maker_adj
-        deg = self.breaker_deg
-        # An int degree is above the threshold iff above its floor, and an
-        # int-int comparison is the cheaper one.
-        thr = math.floor(self.cfg.trouble_threshold)
-        touched = self._touched
-        append = None if out is None else out.append
+        ends = [] if out is None else out
+        start = len(ends)
+        append = ends.append
         claimed = 0
         try:
             for u, v in draws:
@@ -271,23 +286,14 @@ class Board:
                     continue
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-                du = deg[u] + 1
-                deg[u] = du
-                dv = deg[v] + 1
-                deg[v] = dv
-                if du > thr:
-                    touched.add(u)
-                if dv > thr:
-                    touched.add(v)
-                if append:
-                    append(u)
-                    append(v)
+                append(u)
+                append(v)
                 misses = 0
                 claimed += 1
                 if claimed == k:
                     break
         finally:
-            self.breaker_edges += claimed
+            self._count_breaker_claims(ends[start:], claimed)
         return misses
 
     def claim_breaker_edges(self, edges: Sequence[tuple[int, int]]) -> None:
@@ -302,6 +308,37 @@ class Board:
         if self.claim_breaker_draws(edges, len(edges), None, 0, 0):
             # raises: the edge after the claimed ones is owned
             self._check_free(*edges[self.breaker_edges - before])
+
+    def claim_breaker_star(self, t: int, ws: Sequence[int]) -> None:
+        """Claim the edges {t, w}, w in `ws`, for Breaker, as
+        `claim_breaker_edges` would claim [(t, w) for w in ws].
+
+        The star is tested against t's rows with one AND and set in row t
+        with one OR; each w's row gains only bit t.  Any input that test
+        rejects (a bad id, t among the ws, a repeated w, an owned edge)
+        goes to `claim_breaker_edges`, which raises at the first bad edge
+        and keeps the ones before it claimed.
+        """
+        if not ws:
+            return
+        n = self.n
+        mask = 0
+        if 0 <= t < n and min(ws) >= 0 and max(ws) < n:
+            for w in ws:
+                mask |= 1 << w
+        if (not mask or mask >> t & 1 or mask.bit_count() != len(ws)
+                or mask & (self.breaker_adj[t] | self.maker_adj[t])):
+            self.claim_breaker_edges([(t, w) for w in ws])
+            return
+        adj = self.breaker_adj
+        adj[t] |= mask
+        bt = 1 << t
+        for w in ws:
+            adj[w] |= bt
+        # t gains len(ws) degrees: all but the last one here, and the last
+        # with the threshold test, which only its final degree decides.
+        self.breaker_deg[t] += len(ws) - 1
+        self._count_breaker_claims(chain(ws, (t,)), len(ws))
 
     def claim_edge(self, tail: int, head: int, player: int) -> None:
         """Claim the edge {tail, head} for `player`.
@@ -350,7 +387,7 @@ class Board:
         cleared) and onset records the turn of first crossing.  Returns
         newly flagged vertices in increasing order.  Only vertices that
         Breaker claims reached above the threshold since the last call
-        are candidates (see `claim_breaker_draws`).
+        are candidates (see `_count_breaker_claims`).
         """
         if not self._touched:
             return []

@@ -1,11 +1,14 @@
 """Breaker adversaries.
 
 Every policy claims up to k edges directly on the board and returns the
-(u, v) pairs it claimed, in claim order: a list, or an EdgeList, which
-the runner's log record keeps as it is.  k is min(bias, pairs
+(u, v) pairs it claimed, in claim order.  The random, isolator and
+maxdanger policies return an EdgeList built from the packed vertex ids
+they claimed, which the runner's log record keeps as it is; the others
+return a list, or their script's own turn.  k is min(bias, pairs
 remaining); the runner enforces that and logs the result.  Policies are
 stateful per game and deterministic given the rng stream they are
-handed.
+handed.  The two star-claiming policies claim a star's edges with one
+`Board.claim_breaker_star` call.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections.abc import Sequence
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import length_hint
 from random import Random
 
@@ -43,6 +46,24 @@ def pairs_from_indices(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m -= (m * (m + 1) >> 1) > r
     m += ((m + 1) * (m + 2) >> 1) <= r
     return (n - 2) - m, (n - 1) - r + (m * (m + 1) >> 1)
+
+
+def first_set_bits(mask: int, k: int) -> list[int]:
+    """The k lowest set bits of `mask` (all of them if it has fewer),
+    ascending, listed in one numpy pass over the mask's bytes."""
+    row = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
+                        np.uint8)
+    return np.flatnonzero(np.unpackbits(row, bitorder="little"))[:k].tolist()
+
+
+def claim_star(board: Board, t: int, k: int, out: array) -> None:
+    """Claim for Breaker the free edges {t, w} of the k least w (all of
+    them if fewer), and append t, w of each to `out`, in claim order."""
+    free = (~(board.maker_adj[t] | board.breaker_adj[t])
+            & board.full_mask & ~(1 << t))
+    ws = first_set_bits(free, k)
+    board.claim_breaker_star(t, ws)
+    out.extend(chain.from_iterable(zip(repeat(t), ws)))
 
 
 # The random Breaker decodes its draws from this many words at a time.
@@ -169,35 +190,32 @@ class IsolatorBreaker(BreakerPolicy):
         return board.breaker_deg[v] + board.maker_deg[v] >= board.n - 1
 
     def _retarget(self, board: Board) -> int | None:
-        best = None
-        best_key = None
-        for v in range(board.n):
-            free = board.n - 1 - board.breaker_deg[v] - board.maker_deg[v]
-            if free == 0:
-                continue
-            key = (board.maker_deg[v], -free, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
+        """The least (maker_deg, -free, v) over the vertices with free > 0
+        edges left, free = n - 1 - breaker_deg - maker_deg, or None.
+
+        In one numpy pass: with s = breaker_deg + maker_deg < n, the key
+        maker_deg * n + s orders as (maker_deg, -free), argmin takes the
+        lowest v among equal keys, and a full star (s = n - 1) gets a key
+        above every live one."""
+        n = board.n
+        mdeg = np.array(board.maker_deg, np.int64)
+        s = mdeg + board.breaker_deg
+        key = mdeg * n + s
+        key[s == n - 1] = n * n
+        v = int(key.argmin())
+        return None if s[v] == n - 1 else v
 
     def take_turn(self, board: Board, rng: Random, k: int,
-                  maker=None) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        while len(out) < k:
+                  maker=None) -> EdgeList:
+        out = array("I")                # t, w of each edge taken
+        while len(out) < 2 * k:
             if self.target is None or self._dead(board, self.target):
                 self.target = self._retarget(board)
                 if self.target is None:
                     break
-            t = self.target
-            free = (~(board.maker_adj[t] | board.breaker_adj[t])
-                    & board.full_mask & ~(1 << t))
-            if not free:
-                self.target = None
-                continue
-            star = [(t, w) for w in islice(bits(free), k - len(out))]
-            board.claim_breaker_edges(star)
-            out.extend(star)
-        return out
+            # A live target has a free edge left.
+            claim_star(board, self.target, k - len(out) // 2, out)
+        return EdgeList.from_vertices(out)
 
 
 class MaxDangerBreaker(BreakerPolicy):
@@ -213,7 +231,10 @@ class MaxDangerBreaker(BreakerPolicy):
 
     def __init__(self) -> None:
         self.trouble: list[int] = []
-        self.heap: list[tuple[int, int]] = []   # (-breaker_deg, v) warmup
+        # (-breaker_deg, v) warmup, built at the first turn.  It runs
+        # empty only once every vertex is served or full, both for good,
+        # so it is never rebuilt.
+        self.heap: list[tuple[int, int]] | None = None
         self.fallback = RandomBreaker()
 
     def note_trouble(self, fresh: list[int]) -> None:
@@ -255,22 +276,19 @@ class MaxDangerBreaker(BreakerPolicy):
         return None
 
     def take_turn(self, board: Board, rng: Random, k: int,
-                  maker=None) -> list[tuple[int, int]]:
-        if not self.heap:
+                  maker=None) -> EdgeList:
+        if self.heap is None:
             self.heap = [(0, v) for v in range(board.n)]
-        out: list[tuple[int, int]] = []
-        while len(out) < k:
+        out = array("I")                # u, v of each edge taken
+        while len(out) < 2 * k:
             v = self._pick(board)
             if v is None:
-                out.extend(self.fallback.take_turn(board, rng, k - len(out)))
+                rest = self.fallback.take_turn(board, rng, k - len(out) // 2)
+                out.frombytes(rest.flat)
                 break
-            free = (~(board.maker_adj[v] | board.breaker_adj[v])
-                    & board.full_mask & ~(1 << v))
-            star = [(v, w) for w in islice(bits(free), k - len(out))]
-            board.claim_breaker_edges(star)
-            out.extend(star)
+            claim_star(board, v, k - len(out) // 2, out)
             heapq.heappush(self.heap, (-board.breaker_deg[v], v))
-        return out
+        return EdgeList.from_vertices(out)
 
 
 class PairKillerBreaker(BreakerPolicy):

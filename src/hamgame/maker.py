@@ -143,8 +143,10 @@ class MakerStrategy:
                 & ~(1 << v))
         if not cand:
             return None
-        count = bin(cand).count("1")
-        return kth_set_bit(cand, self.rng.randrange(count))
+        # The hubs are the top hub_size ids, so the walk starts at them.
+        lo = board.n - self.cfg.hub_size
+        return lo + kth_set_bit(cand >> lo,
+                                self.rng.randrange(cand.bit_count()))
 
     def _serve(self, v: int, label: str) -> MakerMove:
         board = self.board

@@ -279,6 +279,22 @@ def random_breaker_turn_reference(board, rng, k: int) -> list[tuple[int, int]]:
     return out
 
 
+def isolator_retarget_reference(board) -> int | None:
+    """The isolator Breaker's target rule as first written, one O(n)
+    loop: the least (maker_deg, -free, v) among the vertices with free >
+    0 edges left, or None when every star is full."""
+    best = None
+    best_key = None
+    for v in range(board.n):
+        free = board.n - 1 - board.breaker_deg[v] - board.maker_deg[v]
+        if free == 0:
+            continue
+        key = (board.maker_deg[v], -free, v)
+        if best_key is None or key < best_key:
+            best, best_key = v, key
+    return best
+
+
 def record_json_reference(rec) -> str:
     """A move record's log line as first defined: json.dumps of a dict
     holding turn, player and edges, then case and promoted when set."""

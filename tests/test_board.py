@@ -1,6 +1,8 @@
 """Board state: claims, counters, trouble flags, fingerprints."""
 
 from array import array
+from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,69 @@ class TestDrawClaims:
         assert board.claim_breaker_draws(draws, 0, out, 7, 64) == 7
         assert next(draws) == (0, 1)
         assert not out and board.breaker_edges == 0
+
+
+class TestStarClaims:
+    """`claim_breaker_star` against `claim_breaker_edges` given the same
+    star as (t, w) pairs."""
+
+    @staticmethod
+    def twin_boards(seed):
+        rng = Random(seed)
+        n = rng.randrange(5, 40)
+        cfg = small_cfg(n=n, thr=3.0)
+        boards = Board(cfg), Board(cfg)
+        for u, v in combinations(range(n), 2):
+            x = rng.random()
+            if x < 0.3:
+                for board in boards:
+                    board.claim_edge(u, v, MAKER if x < 0.1 else BREAKER)
+        for board in boards:
+            board.refresh_troublesome()
+        return rng, *boards
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_edge_claims_on_random_boards(self, seed):
+        rng, star, edges = self.twin_boards(seed)
+        t = rng.randrange(star.n)
+        ws = [w for w in range(star.n) if w != t and not star.owner(t, w)]
+        ws = rng.sample(ws, rng.randrange(len(ws) + 1))
+        star.claim_breaker_star(t, ws)
+        edges.claim_breaker_edges([(t, w) for w in ws])
+        assert star.fingerprint_fields() == edges.fingerprint_fields()
+        assert star.refresh_troublesome() == edges.refresh_troublesome()
+        assert star.fingerprint_fields() == edges.fingerprint_fields()
+        assert star.recompute_counters()["breaker_deg"] == star.breaker_deg
+
+    @pytest.mark.parametrize("t, ws, reason", [
+        (3, [5, 6, 12, 7], r"bad edge \(3, 12\)"),
+        (3, [5, 6, -1, 7], r"bad edge \(3, -1\)"),
+        (3, [5, 6, 3, 7], r"bad edge \(3, 3\)"),
+        (12, [5, 6], r"bad edge \(12, 5\)"),
+        (3, [5, 6, 8, 7], r"edge \(3, 8\) already claimed by Maker"),
+        (3, [5, 6, 9, 7], r"edge \(3, 9\) already claimed by Breaker"),
+        (3, [5, 6, 5, 7], r"edge \(3, 5\) already claimed by Breaker"),
+    ])
+    def test_bad_star_raises_as_per_edge_claims_do(self, t, ws, reason):
+        star, edges = Board(small_cfg()), Board(small_cfg())
+        for board in (star, edges):
+            board.claim_edge(3, 8, MAKER)
+            board.claim_edge(9, 3, BREAKER)
+        with pytest.raises(BoardError, match=f"^{reason}$"):
+            star.claim_breaker_star(t, ws)
+        with pytest.raises(BoardError, match=f"^{reason}$"):
+            edges.claim_breaker_edges([(t, w) for w in ws])
+        assert star.fingerprint_fields() == edges.fingerprint_fields()
+        assert star.refresh_troublesome() == edges.refresh_troublesome()
+        if t == 3:
+            assert star.owner(3, 5) == star.owner(3, 6) == BREAKER
+            assert star.owner(3, 7) == 0
+
+    def test_empty_star_claims_nothing(self):
+        board = Board(small_cfg())
+        before = board.fingerprint_fields()
+        board.claim_breaker_star(3, [])
+        assert board.fingerprint_fields() == before
 
 
 @settings(max_examples=60, deadline=None)

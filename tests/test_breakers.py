@@ -1,14 +1,16 @@
 """Breaker policies: decode math, targeting rules, scripted replay."""
 
+import heapq
 from itertools import combinations
 from random import Random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hamgame import breakers
-from hamgame.board import BREAKER, MAKER, UNCLAIMED, Board, GameConfig
+from hamgame.board import BREAKER, MAKER, UNCLAIMED, Board, GameConfig, bits
 from hamgame.breakers import (
     IsolatorBreaker,
     MaxDangerBreaker,
@@ -16,12 +18,17 @@ from hamgame.breakers import (
     RandomBreaker,
     ReplayError,
     ScriptedBreaker,
+    first_set_bits,
     make_policy,
     pairs_from_indices,
 )
-from hamgame.gamelog import GameLog, MoveRecord
+from hamgame.gamelog import EdgeList, GameLog, MoveRecord
 from hamgame.rotation import TrackedPath
-from oracles import pair_from_index, random_breaker_turn_reference
+from oracles import (
+    isolator_retarget_reference,
+    pair_from_index,
+    random_breaker_turn_reference,
+)
 
 
 def fresh_board(n=10, b=3, thr=5.0, quota=2, hub_size=3):
@@ -214,6 +221,89 @@ class TestIsolator:
         assert nxt[0][0] == 4
         assert all(u == 4 for u, v in nxt)
 
+    def test_turns_are_packed_edge_lists(self):
+        out = IsolatorBreaker().take_turn(fresh_board(), Random(0), 3)
+        assert type(out) is EdgeList
+        assert out.flat == EdgeList([(0, 1), (0, 2), (0, 3)]).flat
+
+
+def random_board(seed):
+    """A board with random claims.  Often a few low vertices have full
+    Breaker stars while Maker has touched every other vertex, so the
+    least key is a dead vertex; now and then every star is full."""
+    rng = Random(seed)
+    n = rng.randrange(4, 30)
+    board = fresh_board(n=n, b=2, thr=n / 3)
+    dead = set(rng.sample(range(n // 2), rng.randrange(3)))
+    rest = [v for v in range(n) if v not in dead]
+    if rng.random() < 0.5:
+        rng.shuffle(rest)
+        for u, v in zip(rest, rest[1:]):
+            board.claim_edge(u, v, MAKER)
+    p_maker, p_breaker = rng.random() * 0.2, rng.random()
+    if rng.random() < 0.1:
+        p_breaker = 1.0
+    for u, v in combinations(range(n), 2):
+        if board.owner(u, v):
+            continue
+        x = rng.random()
+        if u in dead or v in dead or p_maker <= x < p_maker + p_breaker:
+            board.claim_edge(u, v, BREAKER)
+        elif x < p_maker:
+            board.claim_edge(u, v, MAKER)
+    return board
+
+
+class TestRetarget:
+    """`IsolatorBreaker._retarget` against the O(n) loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_reference_on_random_boards(self, seed):
+        board = random_board(seed)
+        assert IsolatorBreaker()._retarget(board) \
+            == isolator_retarget_reference(board)
+
+    def test_full_star_with_the_least_key_is_skipped(self):
+        # Vertex 0 has Maker degree 0 and a full star, every other vertex
+        # Maker degree 1: the least (maker_deg, -free, v) over all
+        # vertices is the dead vertex 0.
+        board = fresh_board(n=9)
+        board.claim_breaker_edges([(0, w) for w in range(1, 9)])
+        for u in range(1, 9, 2):
+            board.claim_edge(u, u + 1, MAKER)
+        board.claim_edge(2, 7, BREAKER)     # 2 and 7 now have less free
+        want = isolator_retarget_reference(board)
+        assert want == 1
+        assert IsolatorBreaker()._retarget(board) == want
+
+    def test_every_star_full_gives_none(self):
+        board = fresh_board(n=6)
+        for u, v in combinations(range(6), 2):
+            board.claim_edge(u, v, MAKER if (u + v) % 3 == 0 else BREAKER)
+        assert isolator_retarget_reference(board) is None
+        assert IsolatorBreaker()._retarget(board) is None
+
+    @pytest.mark.parametrize("claims, want", [
+        ([], 0),                                    # all keys tie but v
+        ([(0, 1, MAKER)], 2),                       # 0 and 1 touched
+        ([(0, 5, BREAKER), (1, 6, BREAKER)], 2),    # 2 has the most free
+        ([(2, 3, MAKER), (0, 1, MAKER), (4, 7, MAKER), (5, 6, MAKER),
+          (8, 9, MAKER), (0, 9, BREAKER), (3, 4, BREAKER)], 1),
+    ])
+    def test_degree_ties_break_to_the_lowest_id(self, claims, want):
+        board = fresh_board()
+        for u, v, who in claims:
+            board.claim_edge(u, v, who)
+        assert isolator_retarget_reference(board) == want
+        assert IsolatorBreaker()._retarget(board) == want
+
+
+class TestFirstSetBits:
+    @given(st.integers(min_value=0, max_value=(1 << 300) - 1),
+           st.integers(min_value=0, max_value=320))
+    def test_lists_the_lowest_k_set_bits(self, mask, k):
+        assert first_set_bits(mask, k) == list(bits(mask))[:k]
+
 
 class TestMaxDanger:
     def test_warmup_piles_on_one_vertex(self):
@@ -252,13 +342,42 @@ class TestMaxDanger:
         pol.take_turn(board, Random(2), 1)
         assert pol.trouble == []
 
-    def test_full_turn_claimed_even_when_nothing_qualifies(self):
+    def test_full_turn_claimed_even_when_nothing_qualifies(self,
+                                                         monkeypatch):
         board = fresh_board(quota=1)
         for v in range(board.n):
             board.served[v] = 1  # warmup heap prunes everything
-        out = MaxDangerBreaker().take_turn(board, Random(2), 3)
-        assert len(out) == 3
-        assert board.breaker_edges == 3
+        pops = []
+        heappop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop",
+                            lambda h: pops.append(h[0]) or heappop(h))
+        pol = MaxDangerBreaker()
+        rng = Random(2)
+        assert len(pol.take_turn(board, rng, 3)) == 3
+        assert len(pops) == board.n and pol.heap == []
+        # Served vertices stay served: the second turn does not rebuild
+        # the heap only to prune it again.
+        pops.clear()
+        assert len(pol.take_turn(board, rng, 3)) == 3
+        assert pops == [] and pol.heap == []
+        assert board.breaker_edges == 6
+
+    def test_star_then_random_fallback_come_out_in_claim_order(self):
+        def board_with_two_free_at_0():
+            board = fresh_board(quota=1)
+            board.claim_breaker_edges([(0, w) for w in range(1, 8)])
+            for v in range(1, board.n):
+                board.served[v] = 1
+            return board
+
+        board = board_with_two_free_at_0()
+        out = MaxDangerBreaker().take_turn(board, Random(4), 5)
+        ref = board_with_two_free_at_0()
+        ref.claim_breaker_edges([(0, 8), (0, 9)])
+        rest = RandomBreaker().take_turn(ref, Random(4), 3)
+        assert type(out) is EdgeList
+        assert list(out) == [(0, 8), (0, 9)] + list(rest)
+        assert board.fingerprint_fields() == ref.fingerprint_fields()
 
 
 class TestPairKiller:

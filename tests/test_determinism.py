@@ -49,6 +49,10 @@ GOLDEN = {
         "5e3b43f254b1c10448e5a3603881c81b2c00b75e2eda969c84672a6c9d6618d6",
     ("isolator", 200, 1):
         "a3eabd26e49f4f393e035504256430e7a872bc9f0a453b860fa40fea3bd109fa",
+    ("isolator", 1000, 0):
+        "dec8556116347bba07081626c01b3efef50fd0bec9007754511c25594f38eecb",
+    ("maxdanger", 1000, 0):
+        "6a399883266ab64bee8e095b63153338be5120f55687758b628c32fd35c67686",
 }
 
 # With audits on, the log's end record carries the live audit's figures,
@@ -56,6 +60,12 @@ GOLDEN = {
 AUDITED_GAME = ("random", 200, 0)
 AUDITED_DIGEST = \
     "507a9600f6cd9951637ed03c71c9caffb19fc65467794a7c1e64030f23afb038"
+
+# An audited star-claiming game: its end record carries the expansion
+# audit's witnesses.
+AUDITED_ISOLATOR_GAME = ("isolator", 300, 0)
+AUDITED_ISOLATOR_DIGEST = \
+    "c50311813f4d4230ee16960710d6fdf663abc599d5bf1dda9581ed6fb53845a3"
 
 # At audit level full, the end record also carries the endpoint-pair
 # counts of Maker's endpoint_pairs_scan at each closing search.
@@ -85,6 +95,15 @@ def test_audited_game_is_pinned():
     policy, n, seed = AUDITED_GAME
     cfg = GameConfig.scaled(n, seed=seed, audit_level="cheap")
     assert log_digest(cfg, policy) == AUDITED_DIGEST
+
+
+def test_audited_isolator_game_is_pinned():
+    policy, n, seed = AUDITED_ISOLATOR_GAME
+    cfg = GameConfig.scaled(n, seed=seed, audit_level="cheap")
+    result = run_game(cfg, policy)
+    assert result.stats["expansion_witnesses"]
+    text = result.log.dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDITED_ISOLATOR_DIGEST
 
 
 def test_full_audit_game_is_pinned():

@@ -2,7 +2,15 @@
 
 from random import Random
 
-from hamgame.board import BREAKER, MAKER, UNCLAIMED, Board, GameConfig, bits
+from hamgame.board import (
+    BREAKER,
+    MAKER,
+    UNCLAIMED,
+    Board,
+    GameConfig,
+    bits,
+    kth_set_bit,
+)
 from hamgame.maker import MakerStrategy
 from hamgame.paths import PathSystem
 from hamgame.rotation import TrackedPath
@@ -120,6 +128,24 @@ class TestTopUp:
             ea = play_round(*run_a[1:]).edge
             eb = play_round(*run_b[1:]).edge
             assert ea == eb
+
+    def test_hub_draw_matches_a_walk_from_bit_zero(self):
+        # The walk starts at the hub band; the randrange call and the hub
+        # it picks are those of a walk over the whole mask.
+        cfg, board, ps, maker = make_game(n=300, hub_size=150)
+        rng = Random(3)
+        for v in range(0, 300, 7):
+            for h in rng.sample(cfg.hub_vertices(), rng.randrange(150)):
+                if h != v and not board.owner(v, h):
+                    board.claim_edge(v, h, rng.choice((MAKER, BREAKER)))
+            ref = Random()
+            ref.setstate(maker.rng.getstate())
+            cand = (maker.hub_mask & ~board.breaker_adj[v]
+                    & ~board.maker_adj[v] & ~(1 << v))
+            want = kth_set_bit(cand, ref.randrange(bin(cand).count("1"))) \
+                if cand else None
+            assert maker._hub_draw(v) == want
+            assert maker.rng.getstate() == ref.getstate()
 
     def test_saturated_hub_pool_ends_game(self):
         cfg, board, ps, maker = make_game(n=6, b=3, quota=1, hub_size=2)
