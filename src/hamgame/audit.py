@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from random import Random
 
 from .board import Board, bits
@@ -82,8 +83,11 @@ def expansion_audit(board: Board, ps: PathSystem, rng: Random,
 
     Two clauses, each applied to subset sizes within its fraction of the
     anchor count: |N'(S)| > 2|S|, and N'(S) nonempty.  Sizes 1-3 are
-    exhausted (with pruning that only skips subsets that provably pass);
-    larger sizes are sampled.
+    exhausted; larger sizes are sampled.  The triple phase skips only
+    triples that provably pass: _scan_triples skips each pair whose
+    targets already exceed the bound by more than the third member
+    could remove, and above 400,000 triples _exact_triples_pruned
+    visits only the base pairs a failing triple must contain.
     """
     anchors = sorted(bits(ps.anchor_mask()))
     a = len(anchors)
@@ -133,29 +137,11 @@ def expansion_audit(board: Board, ps: PathSystem, rng: Random,
             if capped:
                 break
 
-    # Size 3: full scan when feasible, else a pruned scan that only
-    # skips triples whose union is provably large enough.
+    # Size 3: exact, in (i, j, k) order up to 400,000 triples.
     need = need_for(3)
     if need is not None and a >= 3 and not capped:
-        if a * (a - 1) * (a - 2) // 6 <= 400_000:
-            for i in range(a):
-                for j in range(i + 1, a):
-                    uij = targets[anchors[i]] | targets[anchors[j]]
-                    for k in range(j + 1, a):
-                        subset = (anchors[i], anchors[j], anchors[k])
-                        sbits = ((1 << subset[0]) | (1 << subset[1])
-                                 | (1 << subset[2]))
-                        count = ((uij | targets[subset[2]])
-                                 & ~sbits).bit_count()
-                        report.checked += 1
-                        if count <= need and not report.note_failure(
-                                (3, subset, count, need)):
-                            capped = True
-                            break
-                    if capped:
-                        break
-                if capped:
-                    break
+        if comb(a, 3) <= 400_000:
+            capped = not _scan_triples(anchors, targets, need, report)
         else:
             capped = not _exact_triples_pruned(anchors, targets, need,
                                                report)
@@ -170,6 +156,38 @@ def expansion_audit(board: Board, ps: PathSystem, rng: Random,
             if not record(subset, need_for(size)):
                 break
     return report
+
+
+def _scan_triples(anchors: list[int], targets: dict[int, int], need: int,
+                  report: ExpansionReport) -> bool:
+    """Every triple of anchors in (i, j, k) order, recording those whose
+    targets, less the triple, number at most `need`; False once the cap
+    is hit.  A triple on (i, j) can fail only if the targets of i and j,
+    less i and j, number at most need + 1 (k removes at most one more),
+    so every other pair skips its k-loop.  `checked` grows by the
+    triples a full scan would have visited up to that point: all
+    C(a, 3), or the capped triple's lexicographic rank plus one."""
+    a = len(anchors)
+    masks = [targets[v] for v in anchors]
+    for i in range(a):
+        ti, bi = masks[i], 1 << anchors[i]
+        for j in range(i + 1, a):
+            bij = bi | (1 << anchors[j])
+            uij = ti | masks[j]
+            if (uij & ~bij).bit_count() > need + 1:
+                continue
+            for k in range(j + 1, a):
+                count = ((uij | masks[k])
+                         & ~(bij | (1 << anchors[k]))).bit_count()
+                if count <= need and not report.note_failure(
+                        (3, (anchors[i], anchors[j], anchors[k]), count,
+                         need)):
+                    report.checked += (comb(a, 3) - comb(a - i, 3)
+                                       + comb(a - i - 1, 2) - comb(a - j, 2)
+                                       + k - j)
+                    return False
+    report.checked += comb(a, 3)
+    return True
 
 
 def _pack_rows(anchors: list[int], targets: dict[int, int], nbits: int):

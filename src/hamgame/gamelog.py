@@ -6,6 +6,12 @@ cycle certificate plus a state fingerprint.  Key order is fixed at
 construction so identical games serialize to identical bytes.  A log is
 written, compared and read LOG_CHUNK_RECORDS records at a time, so its
 whole text is never built unless a caller asks for it (GameLog.dumps).
+
+Reading takes a fast path for the record lines the engine writes: a line
+that RECORD_LINE matches is read without the JSON decoder, its vertex
+ids with those of up to PARSE_BATCH_LINES such lines in one numpy pass.
+Every other line, and every line of a batch that fails a check, is read
+with json.loads and MoveRecord.from_json, which own the error messages.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 import struct
 import sys
 from array import array
@@ -233,6 +240,55 @@ def record_lines(records: Sequence[MoveRecord], top: int = 0) -> list[str]:
 
 RECORD_KEYS = frozenset(("turn", "player", "edges", "case", "promoted"))
 
+# A record line as record_lines writes it when its case label needs no
+# escaping.  Groups: turn, player, the edges between their list's
+# brackets ("[u,v],[u,v]"), case, promoted.  Edge ids may be any digits
+# here; engine_records rejects leading zeros by the text's length.  The
+# turn and promoted ids have at most 18 digits, so int() takes them all.
+_INT = r"(?:0|[1-9][0-9]{0,17}+)"
+RECORD_LINE = re.compile(
+    r'\{"turn":(%s),"player":"([BM])","edges":\[((?:\[[0-9]++,[0-9]++\],)*+'
+    r'\[[0-9]++,[0-9]++\])?\](?:,"case":"([A-Za-z0-9.()+]*+)")?'
+    r'(?:,"promoted":\[(%s(?:,%s)*+)\])?\}' % (_INT, _INT, _INT))
+
+# An int64 x >= 0 has searchsorted(POWERS_OF_TEN, x, "right") + 1 digits.
+POWERS_OF_TEN = np.array([10 ** k for k in range(1, 19)], np.int64)
+
+
+def engine_records(matches: Sequence[re.Match], n: int) \
+        -> list[MoveRecord] | None:
+    """The records of lines that RECORD_LINE matched, for an n-vertex
+    board, with every line's vertex ids read in one numpy pass.  None
+    unless every id is below n and 2**32 and written without a leading
+    zero, the two ends of every edge differ and every promoted vertex is
+    below n: of the lines RECORD_LINE matches, json.loads and
+    MoveRecord.from_json (with EdgeList) accept exactly those."""
+    text = ",".join([m[3] for m in matches if m[3]])
+    # "[u,v],[u,v]" is read as "u,v,u,v".
+    ids = np.fromstring(text[1:-1].replace("],[", ","), np.int64, sep=",")
+    if ids.size:
+        # A leading zero, or an id too large for int64, makes the text
+        # longer than the parsed ids' digits plus "[", ",", "]" and ","
+        # per edge, less the last comma.
+        digits = np.searchsorted(POWERS_OF_TEN, ids, "right").sum() + ids.size
+        ends = ids.reshape(-1, 2)
+        if not (len(text) == digits + 2 * ids.size - 1
+                and ids.max() < min(n, 1 << 32)
+                and (ends[:, 0] != ends[:, 1]).all()):
+            return None
+    vertices = array("I", ids.astype(np.uint32).tobytes())
+    records = []
+    start = 0
+    for turn, player, edges, case, promoted in map(re.Match.groups, matches):
+        stop = start + 2 * edges.count("[") if edges else start
+        promoted = tuple(map(int, promoted.split(","))) if promoted else ()
+        if promoted and max(promoted) >= n:
+            return None
+        records.append(MoveRecord(int(turn), player, EdgeList.from_vertices(
+            vertices[start:stop]), case, promoted))
+        start = stop
+    return records
+
 
 def check_end(end: dict, n: int) -> None:
     """The end record's fields that replay and audit read must have the
@@ -336,6 +392,9 @@ def board_fingerprint(board: Board) -> str:
 # A log is written and compared this many records at a time.
 LOG_CHUNK_RECORDS = 64
 
+# GameLog.parse reads up to this many engine-written record lines at once.
+PARSE_BATCH_LINES = 16
+
 # Bytes are checked to be UTF-8 about this many at a time.
 UTF8_CHECK_BYTES = 1 << 16
 
@@ -418,14 +477,21 @@ class GameLog:
         for records).  Blank lines are skipped; any other departure from
         header, records, optional end line is a LogFormatError.  The text
         is read a line at a time (log_lines); in bytes, a line that is not
-        UTF-8 is the error even if an earlier line has another."""
+        UTF-8 is the error even if an earlier line has another.
+
+        Between the header and the end line, a line that RECORD_LINE
+        matches waits in a batch of up to PARSE_BATCH_LINES such lines,
+        which engine_records reads at once.  The batch is read before any
+        later line, and if it fails a check its lines are read one by one
+        by the JSON path, so the records and errors are the JSON path's."""
         meta: dict | None = None
         records: list[MoveRecord] = []
         end = None
         n = 0
-        for lineno, line in enumerate(log_lines(text), 1):
-            if not line.strip():
-                continue
+        batch: list[tuple[int, re.Match]] = []
+
+        def read_json(lineno: int, line: str) -> None:
+            nonlocal meta, end, n
             try:
                 obj = json.loads(line)
                 if type(obj) is not dict:
@@ -454,6 +520,31 @@ class GameLog:
                 ) from None
             except ValueError as err:
                 raise LogFormatError(lineno, str(err)) from None
+
+        def read_batch() -> None:
+            fast = engine_records([match for _, match in batch], n)
+            if fast is None:
+                for lineno, match in batch:
+                    read_json(lineno, match.string)
+            else:
+                records.extend(fast)
+            batch.clear()
+
+        for lineno, line in enumerate(log_lines(text), 1):
+            if not line.strip():
+                continue
+            match = meta is not None and end is None \
+                and RECORD_LINE.fullmatch(line)
+            if match:
+                batch.append((lineno, match))
+                if len(batch) == PARSE_BATCH_LINES:
+                    read_batch()
+                continue
+            if batch:
+                read_batch()
+            read_json(lineno, line)
+        if batch:
+            read_batch()
         if meta is None:
             raise LogFormatError(1, "log has no header line")
         return cls(meta=meta, records=records, end=end)

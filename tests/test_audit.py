@@ -20,9 +20,9 @@ from hamgame.audit import (
 )
 from hamgame.board import Board, GameConfig, MAKER, bits
 from hamgame.gamelog import GameLog, MoveRecord
-from hamgame.paths import PathSystem
+from hamgame.paths import PathSystem, PathSystemError
 from hamgame.runner import game_rng, run_game
-from oracles import potential_audit_reference
+from oracles import expansion_audit_reference, potential_audit_reference
 
 
 def state(n, edges=(), settled=None):
@@ -223,6 +223,33 @@ def brute_expansion_failures(board, ps, growth_fraction, nonempty_fraction):
     return fails
 
 
+def random_audit_state(rng):
+    """A board and path system for the expansion audit: mostly small,
+    sometimes up to 134 anchors (the most the full triple scan takes),
+    with a random share of vertices that have no Maker out-edges, so
+    that the cap stops some audits in the triple phase."""
+    n = rng.randint(100, 134) if rng.random() < 0.03 else rng.randint(4, 48)
+    share = rng.choice([0.6, 1])
+    settled = {v for v in range(n) if rng.random() < share}
+    empty = rng.choice([0, 0.1, 0.5, 0.9, 1])
+    degree = rng.choice([1, 2, 3, 8])
+    edges, used = [], set()
+    for v in range(n):
+        if rng.random() < empty:
+            continue
+        for w in rng.sample(range(n), rng.randint(1, min(degree, n))):
+            if v != w and frozenset((v, w)) not in used:
+                used.add(frozenset((v, w)))
+                edges.append((v, w))
+    board, ps = state(n, edges=edges, settled=settled)
+    for _ in range(rng.randint(0, n // 3)):
+        try:
+            ps.join(*rng.sample(range(n), 2))
+        except PathSystemError:
+            pass
+    return board, ps
+
+
 class TestExpansion:
     def test_well_wired_ring_passes_nonempty_clause(self):
         n = 16
@@ -272,6 +299,29 @@ class TestExpansion:
         assert report.failure_count >= FAILURE_CAP
         assert not report.exact_complete
         assert report.pass_rate < 1.0
+
+    def test_triple_scan_matches_the_full_loop(self):
+        """The size-3 phase skips pairs that cannot fail; everything it
+        reports, `checked` at the cap included, is what visiting every
+        triple reported."""
+        capped_in_triples = with_triple_failures = 0
+        for seed in range(1000):
+            rng = Random(seed)
+            board, ps = random_audit_state(rng)
+            kw = {"samples": rng.choice([0, 20, 200]),
+                  "growth_fraction": rng.choice([0.01, 0.05, 0.1, 0.2])}
+            got = expansion_audit(board, ps, Random(seed), **kw)
+            want = expansion_audit_reference(board, ps, Random(seed), **kw)
+            assert (got.anchors, got.checked, got.failure_count,
+                    got.failures, got.exact_complete) == \
+                (want.anchors, want.checked, want.failure_count,
+                 want.failures, want.exact_complete), seed
+            sizes = {size for size, *_ in want.failures}
+            with_triple_failures += 3 in sizes
+            capped_in_triples += (not want.exact_complete
+                                  and want.failures[-1][0] == 3)
+        assert capped_in_triples >= 100 and with_triple_failures >= 300, \
+            (capped_in_triples, with_triple_failures)
 
     def test_pruned_triples_match_bruteforce(self):
         for seed in range(6):

@@ -73,6 +73,17 @@ FULL_AUDIT_GAME = ("random", 200, 0)
 FULL_AUDIT_DIGEST = \
     "2570f4df43f6993a29181f89850893986292369d385eaa7065a0597954b6983f"
 
+# Audited games whose expansion audit fails at size 3 in its full triple
+# scan: the maxdanger game's end record lists triples among its
+# witnesses, and the random game at beta 0.5 hits the failure cap inside
+# the scan, so its pass rate pins how many triples were checked by then.
+TRIPLE_AUDIT_GAMES = {
+    ("maxdanger", 50, 0, 0.25):
+        "adb3cf8f9cc59176da75cbef32ea283315440b1775fb6b8214d4a8aaef4e32eb",
+    ("random", 100, 0, 0.5):
+        "39a0e489125fb0ea898467e6adb73db0eb07d630ea287479a74ae51aa43f6093",
+}
+
 # n = 12 with b = 10 fills the board within a few turns, so the random
 # Breaker's rejection loop gives up and samples from the enumerated rest.
 FALLBACK_GAME = (12, 10, 0)
@@ -104,6 +115,18 @@ def test_audited_isolator_game_is_pinned():
     assert result.stats["expansion_witnesses"]
     text = result.log.dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == AUDITED_ISOLATOR_DIGEST
+
+
+@pytest.mark.parametrize("policy, n, seed, beta", list(TRIPLE_AUDIT_GAMES))
+def test_triple_audit_game_is_pinned(policy, n, seed, beta):
+    cfg = GameConfig.scaled(n, seed=seed, beta=beta, audit_level="cheap")
+    result = run_game(cfg, policy)
+    witnesses = result.stats["expansion_witnesses"]
+    assert any(size == 3 for size, *_ in witnesses) \
+        or not result.stats["expansion_exact_complete"]
+    text = result.log.dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        TRIPLE_AUDIT_GAMES[policy, n, seed, beta]
 
 
 def test_full_audit_game_is_pinned():

@@ -5,15 +5,17 @@ import json
 import random
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from hamgame import cli
+from hamgame import cli, gamelog
 from hamgame.board import BREAKER, MAKER, AuditLevel, Board, GameConfig
 from hamgame.gamelog import (
     FINGERPRINT_CHUNK_ROWS,
     LOG_CHUNK_RECORDS,
+    PARSE_BATCH_LINES,
     EdgeList,
     GameLog,
     LogFormatError,
@@ -402,6 +404,136 @@ class TestStrictParse:
     def test_crlf_line_ends_parse(self):
         text = sample_log().dumps()
         assert GameLog.parse(text.replace("\n", "\r\n")).dumps() == text
+
+
+ENGINE_CASES = ["P1.C1.1", "P1.C1.2a", "P1.C1.2b+", "P1.C2", "P2.C1.1",
+                "P2.C1.2a", "P2.C1.2b(i)", "P2.C1.2b(ii)", "P2.C2"]
+
+
+def engine_shaped_log(count=3 * PARSE_BATCH_LINES + 5):
+    """A log at n = 200 whose record lines are all shaped as the engine
+    writes them: engine case labels or none, promotions or none."""
+    rng = random.Random(count)
+    log = GameLog(meta={**config_meta(small_cfg(), "random"), "n": 200})
+    for turn in range(1, count + 1):
+        edges = [tuple(rng.sample(range(200), 2))
+                 for _ in range(rng.choice([0, 1, 1, 5]))]
+        log.records.append(MoveRecord(
+            turn, rng.choice("BM"), edges,
+            rng.choice([None, *ENGINE_CASES]),
+            rng.sample(range(200), rng.choice([0, 0, 1, 3]))))
+    log.end = {"outcome": "Timeout", "reason": "turn limit reached"}
+    return log
+
+
+def parse_outcome(text):
+    """What GameLog.parse makes of `text`: its parts or its error."""
+    try:
+        log = GameLog.parse(text)
+    except LogFormatError as err:
+        return str(err)
+    return log.meta, log.records, log.end
+
+
+def assert_read_as_by_json(text, monkeypatch):
+    """GameLog.parse makes of `text` what it makes of it when no line
+    takes the fast path."""
+    fast = parse_outcome(text)
+    monkeypatch.setattr(gamelog, "RECORD_LINE", re.compile("(?!)"))
+    assert parse_outcome(text) == fast
+
+
+# Edits of one record line: (what, pattern, replacement) for re.sub.
+LINE_EDITS = [
+    ("edge id with a leading zero", r'"edges":\[\[', '"edges":[[0'),
+    ("turn with a leading zero", r'"turn":', '"turn":0'),
+    ("promoted id with a leading zero", r'"promoted":\[', '"promoted":[0'),
+    ("space after a colon", r'"turn":', '"turn": '),
+    ("space inside an edge", r'\[\[(\d+),', r'[[\1, '),
+    ("keys reordered", r'^\{("turn":\d+),("player":"[BM]")', r'{\2,\1'),
+    ("duplicate key", r'\}$', ',"turn":7}'),
+    ("case null", r'"case":"[^"]*"', '"case":null'),
+    ("escaped case", r'"case":"P', r'"case":"\\u0050'),
+    ("case with an escaped quote", r'"case":"', r'"case":"\\"'),
+    ("case with a space", r'"case":"P', '"case":" P'),
+    ("promoted empty", r'"promoted":\[[0-9,]*\]', '"promoted":[]'),
+    ("negative id", r'"edges":\[\[\d+', '"edges":[[-1'),
+    ("float id", r'"edges":\[\[(\d+)', r'"edges":[[\1.0'),
+    ("u equals v", r'"edges":\[\[(\d+),\d+\]', r'"edges":[[\1,\1]'),
+    ("id equal to n", r'"edges":\[\[\d+', '"edges":[[200'),
+    ("later id equal to n", r'\],\[\d+', '],[200'),
+    ("id 2**63", r'"edges":\[\[\d+', f'"edges":[[{2 ** 63}'),
+    ("id 2**64 + 5", r'"edges":\[\[\d+', f'"edges":[[{2 ** 64 + 5}'),
+    ("promoted id equal to n", r'"promoted":\[\d+', '"promoted":[200'),
+    ("player escaped", r'"player":"B"', r'"player":"\\u0042"'),
+    ("turn of 5000 digits", r'"turn":\d+', '"turn":' + "1" * 5000),
+    ("turn of 19 digits", r'"turn":\d+', '"turn":' + "1" * 19),
+    ("id of 5000 digits", r'"edges":\[\[\d+', '"edges":[[' + "1" * 5000),
+    ("promoted id of 5000 digits", r'"promoted":\[\d+',
+     '"promoted":[' + "1" * 5000),
+]
+
+
+class TestFastParse:
+    """Record lines the engine writes are read without the JSON decoder,
+    a batch at a time.  Any edit of a line must come out as the JSON path
+    reads it: the same records, or the same error on the same line."""
+
+    def test_engine_record_lines_skip_the_decoder(self, monkeypatch):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda text: calls.append(text) or loads(text))
+        for log in (engine_shaped_log(),
+                    run_game(GameConfig.scaled(100, seed=0), "isolator").log):
+            calls.clear()
+            text = log.dumps()
+            assert parse_outcome(text) == (log.meta, log.records, log.end)
+            assert len(calls) == 2      # the header and the end line
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("position", [
+        1, PARSE_BATCH_LINES // 2, PARSE_BATCH_LINES, PARSE_BATCH_LINES + 1,
+        3 * PARSE_BATCH_LINES + 1])
+    @pytest.mark.parametrize("what, pattern, replacement", LINE_EDITS)
+    def test_edited_line_reads_as_the_json_path_reads_it(
+            self, monkeypatch, what, pattern, replacement, position, binary):
+        lines = engine_shaped_log().dumps().splitlines()
+        # The first record line from `position` on that the edit changes.
+        for index in range(position, len(lines) - 1):
+            edited = re.sub(pattern, replacement, lines[index], count=1)
+            if edited != lines[index]:
+                lines[index] = edited
+                break
+        else:
+            pytest.fail(f"no line from {position} on to edit")
+        text = "\n".join(lines) + "\n"
+        assert_read_as_by_json(text.encode() if binary else text,
+                               monkeypatch)
+
+    @pytest.mark.parametrize("vertex", [
+        2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 9_300_000_000_000_000_000])
+    def test_ids_past_32_bits_read_as_the_json_path_reads_them(
+            self, monkeypatch, vertex):
+        """With a header n past 2**32, an id below n may still not fit
+        an EdgeList; nor may one that int64 saturates."""
+        log = GameLog(meta={**config_meta(small_cfg(), "random"),
+                            "n": 2 ** 70})
+        log.records = [MoveRecord(1, "B", [(0, 1)])] * 3
+        lines = log.dumps().splitlines()
+        lines[2] = lines[2].replace("[[0,", f"[[{vertex},")
+        assert_read_as_by_json("\n".join(lines), monkeypatch)
+
+    def test_saved_log_parses_without_warnings(self, tmp_path):
+        """A numpy text-parsing deprecation would show here before it
+        could turn the fast path into an error."""
+        path = tmp_path / "game.jsonl"
+        log = run_game(GameConfig.scaled(200, seed=0)).log
+        log.write(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = GameLog.load(str(path))
+        assert parsed.records == log.records
 
 
 class TestConfigMeta:
