@@ -242,38 +242,32 @@ RECORD_KEYS = frozenset(("turn", "player", "edges", "case", "promoted"))
 
 # A record line as record_lines writes it when its case label needs no
 # escaping.  Groups: turn, player, the edges between their list's
-# brackets ("[u,v],[u,v]"), case, promoted.  Edge ids may be any digits
-# here; engine_records rejects leading zeros by the text's length.  The
-# turn and promoted ids have at most 18 digits, so int() takes them all.
-_INT = r"(?:0|[1-9][0-9]{0,17}+)"
+# brackets ("[u,v],[u,v]"), case, promoted.  Ints have no leading zeros.
+# Edge ids have at most 10 digits, so int64 holds them exactly; turn and
+# promoted ids have at most 18, so int() takes them all.
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+_ID = r"(?:0|[1-9][0-9]{0,9})"
+_EDGE = r"\[%s,%s\]" % (_ID, _ID)
 RECORD_LINE = re.compile(
-    r'\{"turn":(%s),"player":"([BM])","edges":\[((?:\[[0-9]++,[0-9]++\],)*+'
-    r'\[[0-9]++,[0-9]++\])?\](?:,"case":"([A-Za-z0-9.()+]*+)")?'
-    r'(?:,"promoted":\[(%s(?:,%s)*+)\])?\}' % (_INT, _INT, _INT))
-
-# An int64 x >= 0 has searchsorted(POWERS_OF_TEN, x, "right") + 1 digits.
-POWERS_OF_TEN = np.array([10 ** k for k in range(1, 19)], np.int64)
+    r'\{"turn":(%s),"player":"([BM])","edges":\[((?:%s,)*%s)?\]'
+    r'(?:,"case":"([A-Za-z0-9.()+]*)")?'
+    r'(?:,"promoted":\[(%s(?:,%s)*)\])?\}' % (_INT, _EDGE, _EDGE, _INT, _INT))
 
 
 def engine_records(matches: Sequence[re.Match], n: int) \
         -> list[MoveRecord] | None:
     """The records of lines that RECORD_LINE matched, for an n-vertex
     board, with every line's vertex ids read in one numpy pass.  None
-    unless every id is below n and 2**32 and written without a leading
-    zero, the two ends of every edge differ and every promoted vertex is
-    below n: of the lines RECORD_LINE matches, json.loads and
-    MoveRecord.from_json (with EdgeList) accept exactly those."""
+    unless every id is below n and 2**32, the two ends of every edge
+    differ and every promoted vertex is below n: of the lines RECORD_LINE
+    matches, json.loads and MoveRecord.from_json (with EdgeList) accept
+    exactly those."""
     text = ",".join([m[3] for m in matches if m[3]])
     # "[u,v],[u,v]" is read as "u,v,u,v".
     ids = np.fromstring(text[1:-1].replace("],[", ","), np.int64, sep=",")
     if ids.size:
-        # A leading zero, or an id too large for int64, makes the text
-        # longer than the parsed ids' digits plus "[", ",", "]" and ","
-        # per edge, less the last comma.
-        digits = np.searchsorted(POWERS_OF_TEN, ids, "right").sum() + ids.size
         ends = ids.reshape(-1, 2)
-        if not (len(text) == digits + 2 * ids.size - 1
-                and ids.max() < min(n, 1 << 32)
+        if not (ids.max() < min(n, 1 << 32)
                 and (ends[:, 0] != ends[:, 1]).all()):
             return None
     vertices = array("I", ids.astype(np.uint32).tobytes())

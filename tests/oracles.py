@@ -429,108 +429,30 @@ def potential_audit_reference(log):
     return out
 
 
-def expansion_audit_reference(board, ps, rng, samples: int = 10_000,
-                              growth_fraction: float = 0.01,
-                              nonempty_fraction: float = 0.5):
-    """hamgame.audit.expansion_audit as it was while its size-3 phase
-    visited every triple in one inline loop, for anchor counts a with
-    C(a, 3) <= 400,000, the only ones that loop ran at.
-
-    Two clauses, each applied to subset sizes within its fraction of the
-    anchor count: |N'(S)| > 2|S|, and N'(S) nonempty.  Sizes 1-3 are
-    exhausted; larger sizes are sampled.
-    """
-    from hamgame.audit import ExpansionReport
-
-    anchor_mask = ps.anchor_mask()
-    anchors = [v for v in range(board.n) if anchor_mask >> v & 1]
+def scan_triples_reference(anchors, targets, need, report) -> bool:
+    """hamgame.audit._scan_triples as expansion_audit's size-3 phase was
+    while it visited every triple in one inline loop: each triple of
+    anchors in (i, j, k) order is checked and counted, and those whose
+    targets, less the triple, number at most `need` are recorded; False
+    once the cap is hit."""
     a = len(anchors)
-    if a * (a - 1) * (a - 2) // 6 > 400_000:
-        raise ValueError(f"{a} anchors: the triple loop never ran there")
-    report = ExpansionReport(anchors=a)
-    if a == 0:
-        return report
-    # Maker out-neighbour sets restricted to the settled vertices.
-    targets = {}
-    for v in anchors:
-        m = 0
-        for h in board.out_heads[v]:
-            m |= 1 << h
-        targets[v] = m & ps.settled_mask
-    growth_limit = int(a * growth_fraction)
-    nonempty_limit = int(a * nonempty_fraction)
-
-    def need_for(size: int) -> int | None:
-        # Strictest clause that applies at this size, None if neither.
-        if size <= growth_limit:
-            return 2 * size
-        if size <= nonempty_limit:
-            return 0
-        return None
-
-    def record(subset: tuple[int, ...], need: int) -> bool:
-        sbits = 0
-        for v in subset:
-            sbits |= 1 << v
-        union = 0
-        for v in subset:
-            union |= targets[v]
-        count = (union & ~sbits).bit_count()
-        report.checked += 1
-        if count <= need:
-            return report.note_failure((len(subset), subset, count, need))
-        return True
-
     capped = False
-
-    # Size 1.
-    need = need_for(1)
-    if need is not None:
-        for v in anchors:
-            if not record((v,), need):
-                capped = True
-                break
-
-    # Size 2: full scan, cheap at anchor counts this engine produces.
-    need = need_for(2)
-    if need is not None and a >= 2 and not capped:
-        for i in range(a):
-            for j in range(i + 1, a):
-                if not record((anchors[i], anchors[j]), need):
+    for i in range(a):
+        for j in range(i + 1, a):
+            uij = targets[anchors[i]] | targets[anchors[j]]
+            for k in range(j + 1, a):
+                subset = (anchors[i], anchors[j], anchors[k])
+                sbits = ((1 << subset[0]) | (1 << subset[1])
+                         | (1 << subset[2]))
+                count = ((uij | targets[subset[2]])
+                         & ~sbits).bit_count()
+                report.checked += 1
+                if count <= need and not report.note_failure(
+                        (3, subset, count, need)):
                     capped = True
                     break
             if capped:
                 break
-
-    # Size 3: full scan.
-    need = need_for(3)
-    if need is not None and a >= 3 and not capped:
-        for i in range(a):
-            for j in range(i + 1, a):
-                uij = targets[anchors[i]] | targets[anchors[j]]
-                for k in range(j + 1, a):
-                    subset = (anchors[i], anchors[j], anchors[k])
-                    sbits = ((1 << subset[0]) | (1 << subset[1])
-                             | (1 << subset[2]))
-                    count = ((uij | targets[subset[2]])
-                             & ~sbits).bit_count()
-                    report.checked += 1
-                    if count <= need and not report.note_failure(
-                            (3, subset, count, need)):
-                        capped = True
-                        break
-                if capped:
-                    break
-            if capped:
-                break
-
-    # Sampled larger sizes, split across both clauses.
-    sizes = [s for s in range(4, max(growth_limit, nonempty_limit) + 1)]
-    sizes = [s for s in sizes if need_for(s) is not None]
-    if sizes and samples > 0 and not capped:
-        for _ in range(samples):
-            size = sizes[rng.randrange(len(sizes))]
-            subset = tuple(rng.sample(anchors, size))
-            if not record(subset, need_for(size)):
-                break
-    return report
+        if capped:
+            break
+    return not capped

@@ -11,6 +11,8 @@ from hamgame.audit import (
     FAILURE_CAP,
     ExpansionReport,
     _exact_triples_pruned,
+    _scan_triples,
+    _target_masks,
     connectivity_audit,
     expansion_audit,
     live_audit,
@@ -22,7 +24,7 @@ from hamgame.board import Board, GameConfig, MAKER, bits
 from hamgame.gamelog import GameLog, MoveRecord
 from hamgame.paths import PathSystem, PathSystemError
 from hamgame.runner import game_rng, run_game
-from oracles import expansion_audit_reference, potential_audit_reference
+from oracles import potential_audit_reference, scan_triples_reference
 
 
 def state(n, edges=(), settled=None):
@@ -301,27 +303,37 @@ class TestExpansion:
         assert report.pass_rate < 1.0
 
     def test_triple_scan_matches_the_full_loop(self):
-        """The size-3 phase skips pairs that cannot fail; everything it
+        """_scan_triples skips pairs that cannot fail; everything it
         reports, `checked` at the cap included, is what visiting every
-        triple reported."""
-        capped_in_triples = with_triple_failures = 0
+        triple reported.  Some reports start with earlier failures, as
+        sizes 1-2 leave them, so the cap stops the scan at many ranks."""
+        capped = with_failures = 0
         for seed in range(1000):
             rng = Random(seed)
             board, ps = random_audit_state(rng)
-            kw = {"samples": rng.choice([0, 20, 200]),
-                  "growth_fraction": rng.choice([0.01, 0.05, 0.1, 0.2])}
-            got = expansion_audit(board, ps, Random(seed), **kw)
-            want = expansion_audit_reference(board, ps, Random(seed), **kw)
-            assert (got.anchors, got.checked, got.failure_count,
-                    got.failures, got.exact_complete) == \
-                (want.anchors, want.checked, want.failure_count,
-                 want.failures, want.exact_complete), seed
-            sizes = {size for size, *_ in want.failures}
-            with_triple_failures += 3 in sizes
-            capped_in_triples += (not want.exact_complete
-                                  and want.failures[-1][0] == 3)
-        assert capped_in_triples >= 100 and with_triple_failures >= 300, \
-            (capped_in_triples, with_triple_failures)
+            anchors = sorted(bits(ps.anchor_mask()))
+            targets = _target_masks(board, ps, anchors)
+            need = rng.choice([0, 6])
+            earlier = rng.choice([0, rng.randrange(FAILURE_CAP)])
+
+            def fresh():
+                return ExpansionReport(
+                    anchors=len(anchors), checked=earlier,
+                    failure_count=earlier,
+                    failures=[(1, (0,), 0, 2)] * earlier)
+
+            got, want = fresh(), fresh()
+            done = _scan_triples(anchors, targets, need, got)
+            assert done == scan_triples_reference(anchors, targets, need,
+                                                  want), seed
+            assert (got.checked, got.failure_count, got.failures,
+                    got.exact_complete) == \
+                (want.checked, want.failure_count, want.failures,
+                 want.exact_complete), seed
+            with_failures += want.failure_count > earlier
+            capped += not done
+        assert capped >= 100 and with_failures >= 300, \
+            (capped, with_failures)
 
     def test_pruned_triples_match_bruteforce(self):
         for seed in range(6):

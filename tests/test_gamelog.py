@@ -446,6 +446,8 @@ def assert_read_as_by_json(text, monkeypatch):
 # Edits of one record line: (what, pattern, replacement) for re.sub.
 LINE_EDITS = [
     ("edge id with a leading zero", r'"edges":\[\[', '"edges":[[0'),
+    ("second edge id with a leading zero", r'"edges":\[\[(\d+),',
+     r'"edges":[[\1,0'),
     ("turn with a leading zero", r'"turn":', '"turn":0'),
     ("promoted id with a leading zero", r'"promoted":\[', '"promoted":[0'),
     ("space after a colon", r'"turn":', '"turn": '),
@@ -462,6 +464,8 @@ LINE_EDITS = [
     ("u equals v", r'"edges":\[\[(\d+),\d+\]', r'"edges":[[\1,\1]'),
     ("id equal to n", r'"edges":\[\[\d+', '"edges":[[200'),
     ("later id equal to n", r'\],\[\d+', '],[200'),
+    ("id of 10 digits", r'"edges":\[\[\d+', '"edges":[[1000000000'),
+    ("id of 11 digits", r'"edges":\[\[\d+', '"edges":[[10000000000'),
     ("id 2**63", r'"edges":\[\[\d+', f'"edges":[[{2 ** 63}'),
     ("id 2**64 + 5", r'"edges":\[\[\d+', f'"edges":[[{2 ** 64 + 5}'),
     ("promoted id equal to n", r'"promoted":\[\d+', '"promoted":[200'),
@@ -523,6 +527,12 @@ class TestFastParse:
         lines = log.dumps().splitlines()
         lines[2] = lines[2].replace("[[0,", f"[[{vertex},")
         assert_read_as_by_json("\n".join(lines), monkeypatch)
+
+    def test_record_line_needs_no_python_3_11_syntax(self):
+        """Possessive quantifiers and atomic groups are new in Python
+        3.11's re.  On 3.10, which the package supports, compiling them
+        fails, and with it every import of hamgame.gamelog."""
+        assert not re.search(r"[*+?}]\+|\(\?>", gamelog.RECORD_LINE.pattern)
 
     def test_saved_log_parses_without_warnings(self, tmp_path):
         """A numpy text-parsing deprecation would show here before it
