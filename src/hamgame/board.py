@@ -188,7 +188,7 @@ class Board:
     __slots__ = (
         "cfg", "n", "maker_adj", "breaker_adj", "out_heads",
         "breaker_deg", "maker_deg", "out_deg", "out_calm", "served",
-        "troublesome", "trouble_onset", "turn", "mover",
+        "troublesome", "trouble_onset", "turn",
         "maker_edges", "breaker_edges", "deg_le1_mask", "_touched",
         "full_mask",
     )
@@ -208,7 +208,6 @@ class Board:
         self.troublesome = bytearray(n)
         self.trouble_onset = [-1] * n
         self.turn = 0
-        self.mover = BREAKER
         self.maker_edges = 0
         self.breaker_edges = 0
         self.full_mask = (1 << n) - 1

@@ -11,17 +11,24 @@ the exact vertex sequence.  Deduplicating by endpoint alone is cheaper
 but provably lossy (a second witness for a known endpoint can rotate to
 endpoints the first witness cannot reach), and the contract here is the
 true reachable set.  A rotation reverses the suffix after its pivot, so
-each explored path after the first is stored as two ints, its parent
-path and its pivot position, and rebuilt on demand in one buffer by
-undoing and redoing suffix reversals.  Rotating a path at its own pivot
-gives back its parent, which is skipped at no cost; every other new path
-is built in a scratch row, hashed, and compared exactly with the stored
-paths of the same hash.  Exactness is paid for with an optional state
-budget: a closure stops deterministically once it holds `max_states`
-explored paths and flags the result as truncated, and a two-level
-search spends at most SEARCH_BUDGET_FACTOR times that over all its
-closures.  Engine-scale callers set a budget; verification-scale
-callers leave it unbounded.
+each explored path after the first is stored as three ints: its parent
+path, its pivot position and its free end.  Every path of one closure
+spans the same vertices from the same fixed end, so its edge set
+determines it; while the search runs, each path has a key that XORs the
+hashes of the edges it has traded against the input path, and a
+rotation updates it with two edge hashes.  A rotation at pivot position
+i sends each position p > i to len + i - p, so positions in a state
+come from pushing input positions through its chain of pivots, and
+expanding a state touches no path-sized array.  Rotating a path at its
+own pivot gives back its parent, which is skipped at no cost; a new
+path whose key some stored paths share is compared exactly with them,
+each rebuilt in one buffer by undoing and redoing suffix reversals, so
+a key collision costs time but never merges two paths.  Exactness is
+paid for with an optional state budget: a closure stops
+deterministically once it holds `max_states` explored paths and flags
+the result as truncated, and a two-level search spends at most
+SEARCH_BUDGET_FACTOR times that over all its closures.  Engine-scale
+callers set a budget; verification-scale callers leave it unbounded.
 """
 
 from __future__ import annotations
@@ -74,15 +81,16 @@ class RotationClosure:
 
     endpoints lists each reachable free end once, in discovery order; the
     witness kept per endpoint is the first path that reached it.  The
-    input path is stored once, and every later state as two ints: the
-    state it was rotated from and the pivot position.  path(s) rebuilds
-    state s in one reusable buffer.  len() counts the distinct reachable
-    paths; states lists them, starting at the fixed end, as the rows of
-    an array in discovery order (built on demand, for tests).
+    input path is stored once, and every later state as three ints: the
+    state it was rotated from, the pivot position and its free end.
+    path(s) rebuilds state s in one reusable buffer.  len() counts the
+    distinct reachable paths; states lists them, starting at the fixed
+    end, as the rows of an array in discovery order (built on demand,
+    for tests).
     """
 
     __slots__ = ("fixed", "endpoints", "truncated", "_witness", "_parent",
-                 "_pivot", "_at", "_buf", "_pos", "_span")
+                 "_pivot", "_end", "_at", "_buf")
 
     def __init__(self, path: np.ndarray) -> None:
         self.fixed = int(path[0])
@@ -91,13 +99,10 @@ class RotationClosure:
         self._witness = {int(path[-1]): 0}     # endpoint -> state
         self._parent = [-1]
         self._pivot = [-1]
-        # _buf holds the path of state _at; _pos maps each of its
-        # vertices to its position there.
+        self._end = [int(path[-1])]
+        # _buf holds the path of state _at.
         self._at = 0
         self._buf = np.array(path, dtype=np.int32)
-        self._span = np.arange(len(path), dtype=np.int32)
-        self._pos = np.empty(int(path.max()) + 1, dtype=np.int32)
-        self._pos[self._buf] = self._span
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -107,7 +112,6 @@ class RotationClosure:
         position i, which is its own inverse."""
         buf = self._buf
         buf[i + 1:] = buf[:i:-1]
-        self._pos[buf[i + 1:]] = self._span[i + 1:]
 
     def path(self, s: int) -> np.ndarray:
         """State s's path, as a read-only view of the buffer that the
@@ -160,15 +164,29 @@ def _as_order_array(order, n: int | None = None) -> np.ndarray:
 
 
 def _validate_path(maker_adj: list[int], order: np.ndarray) -> None:
-    seen = 0
-    for v in order:
-        bit = 1 << int(v)
-        if seen & bit:
+    """Raise RotationError unless order, on vertices in
+    [0, len(maker_adj)), is a Maker path.  A repeated vertex is reported
+    before any missing edge, wherever the two lie."""
+    seen = bytearray(len(maker_adj))
+    gap = None
+    prev = -1
+    for v in order.tolist():
+        if seen[v]:
             raise RotationError(f"repeated vertex {v}")
-        seen |= bit
-    for a, c in zip(order[:-1], order[1:]):
-        if not (maker_adj[int(a)] >> int(c)) & 1:
-            raise RotationError(f"({a}, {c}) is not a Maker edge")
+        seen[v] = 1
+        if gap is None and prev >= 0 and not maker_adj[prev] >> v & 1:
+            gap = (prev, v)
+        prev = v
+    if gap is not None:
+        raise RotationError(f"({gap[0]}, {gap[1]}) is not a Maker edge")
+
+
+def _vertex_mask(arr: np.ndarray) -> int:
+    """The vertices of arr as a bitmask, built in one numpy pass."""
+    flags = np.zeros(int(arr.max()) + 1, dtype=np.uint8)
+    flags[arr] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
 
 
 def limited_rotation_closure(
@@ -204,50 +222,75 @@ def limited_rotation_closure(
         # The input path alone fills the budget.
         closure.truncated = True
         return closure
-    path_mask = 0
-    for v in arr:
-        path_mask |= 1 << int(v)
-    buf, pos = closure._buf, closure._pos
+    usable = pivot_mask & _vertex_mask(arr)
+    # The input path's vertex at each position, and each vertex's
+    # position in it.
+    at = arr.tolist()
+    where = np.zeros(int(arr.max()) + 1, dtype=np.int32)
+    where[arr] = np.arange(length, dtype=np.int32)
+    where = where.tolist()
     parent, pivot = closure._parent, closure._pivot
-    # Each child is built here first.
-    scratch = np.empty(length, dtype=np.int32)
-    # Content hash -> states with that hash; states are compared exactly.
-    seen: dict[int, list[int]] = {hash(buf.tobytes()): [0]}
-    usable = pivot_mask & path_mask
+    ends = closure._end
+    # Each state's edge-set key, kept only while the search runs.
+    keys = [0]
+    # Edge-set key -> the first state with that key, and -> the later
+    # ones, which only a key collision makes; states are compared exactly.
+    seen: dict[int, int] = {0: 0}
+    clashes: dict[int, list[int]] = {}
     witness = closure._witness
+    last = length - 3           # the highest usable pivot position
     head = 0
-    while head < len(closure):
-        closure.path(head)
+    while head < len(parent):
+        # head's pivot positions, from head up to the input path.
+        up = []
+        a = head
+        while a:
+            up.append(pivot[a])
+            a = parent[a]
+        down = up[::-1]
         # Rotating at the state's own pivot gives back its parent.
         back = pivot[head]
-        w = int(buf[-1])
+        w = ends[head]
+        key = keys[head]
         for x in bits(maker_adj[w] & usable):
-            i = int(pos[x])
-            if i < 1 or i > length - 3 or i == back:
+            # x's position in head: its input position pushed down the
+            # chain of rotations, each sending p > j to length + j - p.
+            i = where[x]
+            for j in down:
+                if i > j:
+                    i = length + j - i
+            if i < 1 or i > last or i == back:
                 continue
-            scratch[:i + 1] = buf[:i + 1]
-            scratch[i + 1:] = buf[:i:-1]
-            h = hash(scratch.tobytes())
-            twins = seen.get(h)
-            if twins is None:
-                seen[h] = twins = []
-            else:
-                dup = any(np.array_equal(closure.path(j), scratch)
-                          for j in twins)
-                closure.path(head)
-                if dup:
+            # x's successor y is the input vertex that lands on i + 1,
+            # found by pulling i + 1 back up the chain.  The rotation
+            # trades edge xy for edge wx and makes y the free end.
+            p = i + 1
+            for j in up:
+                if p > j:
+                    p = length + j - p
+            y = at[p]
+            k = (key ^ hash((x, y) if x < y else (y, x))
+                 ^ hash((w, x) if w < x else (x, w)))
+            s = len(parent)
+            twin = seen.setdefault(k, s)
+            if twin != s:
+                child = closure.path(head).copy()
+                child[i + 1:] = child[:i:-1]
+                later = clashes.setdefault(k, [])
+                if any(np.array_equal(closure.path(t), child)
+                       for t in (twin, *later)):
                     continue
+                later.append(s)
             parent.append(head)
             pivot.append(i)
-            k = len(pivot) - 1
-            twins.append(k)
-            y = int(scratch[-1])
+            ends.append(y)
+            keys.append(k)
             if y not in witness:
-                witness[y] = k
+                witness[y] = s
                 closure.endpoints.append(y)
                 if stop_at is not None and stop_at(y):
                     return closure
-            if max_states and k + 1 >= max_states:
+            if max_states and s + 1 >= max_states:
                 closure.truncated = True
                 return closure
         head += 1
@@ -273,13 +316,12 @@ def _two_level_walk(maker_adj, pivot_mask, order, budget, partners, visit,
     for s in range(len(first)):
         if budget and spent >= total:
             return True
-        state = first.path(s)
-        u = int(state[-1])
+        u = first._end[s]
         wanted = partners(u)
         if not wanted:
             continue
         second = limited_rotation_closure(
-            maker_adj, pivot_mask, state[::-1], validate=False,
+            maker_adj, pivot_mask, first.path(s)[::-1], validate=False,
             max_states=min(budget, total - spent) if budget else 0)
         truncated = truncated or second.truncated
         spent += len(second)
@@ -401,9 +443,7 @@ def find_closing_pair(
     that no pair exists.
     """
     arr = _as_order_array(order)
-    path_mask = 0
-    for v in arr:
-        path_mask |= 1 << int(v)
+    path_mask = _vertex_mask(arr)
 
     def partners(u: int) -> int:
         # A claimable partner must be a hub on the path that neither

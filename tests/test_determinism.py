@@ -1,10 +1,12 @@
 """Golden games: a seed maps to the same log bytes across versions.
 
 Replay tests only show that one version agrees with itself.  These
-digests pin the full log of small seeded games, so a change that claims
-to keep games byte-identical is checked against the games earlier
-versions played.  A deliberate change to how seeds map to games must
-update the digests in the same change and say so in CHANGES.md.
+digests pin the full log of seeded games, so a change that claims to
+keep games byte-identical is checked against the games earlier versions
+played.  The n = 4000 games pin the closing search at full size: it
+fills its whole budget there and ends truncated.  A deliberate change
+to how seeds map to games must update the digests in the same change
+and say so in CHANGES.md.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ GOLDEN = {
         "d20f38b20c46ed895f14b5f718eccbcd8f5f9f3caece1042cf1e59be069bd07f",
     ("random", 1000, 0):
         "24f7bd93b9b33a0284b2ee3782742dadd1d6d50d8bf06af6c249c7c9fd1752b7",
+    ("random", 4000, 0):
+        "21f269ec0df4669d906a45b545c907ab8cb51c3905aff9565005c6be2b47b600",
     ("pairkiller", 200, 0):
         "0982d00883ab81c46b4219d3c6b2a487b25ff2cafc1c9852fad0af8926ecde9b",
     ("pairkiller", 200, 1):
@@ -37,6 +41,8 @@ GOLDEN = {
         "520cbcff8a7328bcc5d2d7140659c387a8767240c3f3138da041873aae9903aa",
     ("pairkiller", 1000, 0):
         "616bf7aecefbab476238c81f00aeaaad528503a090c5553e3cf4866232be75e7",
+    ("pairkiller", 4000, 0):
+        "809b619afb98df4842a14f61027e646898a2bc98c96c44e0904923b8bae439f6",
     ("maxdanger", 200, 0):
         "333f3a5aadda325c906a36fd8de6b5daa827eecc10f7e0a4711823122350588d",
     ("maxdanger", 200, 1):

@@ -26,6 +26,7 @@ from oracles import (
 )
 
 from hamgame import rotation
+from hamgame.board import bits
 from hamgame.rotation import (
     SEARCH_BUDGET_FACTOR,
     NormalizeError,
@@ -102,6 +103,19 @@ class TestClosure:
             limited_rotation_closure(adj, 0b1111, [0, 2])  # not a Maker edge
         with pytest.raises(RotationError):
             limited_rotation_closure(adj, 0b1111, [0])
+
+    @pytest.mark.parametrize("order, message", [
+        # A repeat is named even after a missing edge, as in [0, 2, ...].
+        ([0, 2, 1, 2], "repeated vertex 2"),
+        ([0, 1, 2, 0, 3], "repeated vertex 0"),
+        ([0, 1, 3, 2, 1], "repeated vertex 1"),
+        ([0, 2, 1, 3], r"\(0, 2\) is not a Maker edge"),
+        ([1, 3, 0, 2], r"\(3, 0\) is not a Maker edge"),
+    ])
+    def test_path_errors_name_the_first_repeat_then_the_first_gap(
+            self, order, message):
+        with pytest.raises(RotationError, match=f"^{message}$"):
+            limited_rotation_closure(masks(ADJ4), 0b1111, order)
 
     @pytest.mark.parametrize("order", [[-1, 0, 1, 2], [7, 0, 1, 2],
                                        [0, 1, 2, 3.5]])
@@ -211,6 +225,82 @@ class TestExactOrder:
             # Witnesses are rebuilt in any order, not only the found one.
             for w in reversed(ends):
                 assert got.witness_path(w) == list(witness[w])
+
+
+def chain_case(seed, links=80, extra=4):
+    """A path 0..n-1 whose chords walk the free end back three places
+    per rotation: end n-1 meets pivot n-4, whose successor n-3 meets
+    pivot n-7, whose successor n-6 meets pivot n-10, and so on.  The
+    pivots are the chain's, so each chain state has one new rotation
+    and the last lies `links` rotations deep; `extra` random chords,
+    each with one end made a pivot, add a few side branches.
+    Returns (adj sets, pivots, path)."""
+    n = 3 * links + 20
+    rng = random.Random(seed)
+    adj_sets = [set() for _ in range(n)]
+    chords = [(n - 1, n - 4)] + [(n - 3 * j, n - 3 * j - 4)
+                                 for j in range(1, links)]
+    chords += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
+    for a, b in [(v, v + 1) for v in range(n - 1)] + chords:
+        adj_sets[a].add(b)
+        adj_sets[b].add(a)
+    pivots = {b for _, b in chords[:links]} | {a for a, _ in chords[links:]}
+    return adj_sets, pivots, tuple(range(n))
+
+
+def edges_traded(row, base):
+    """How many edges of the path row are not edges of the path base: a
+    lower bound on the rotations between them."""
+    def edges(p):
+        return {frozenset(e) for e in zip(p, p[1:])}
+    return len(edges(row) - edges(base))
+
+
+class TestWalkEquivalence:
+    """The closure's pivot-chain positions and edge-set keys against
+    closure_states_reference on deep chains and on large paths: the same
+    paths in the same order, endpoints, witnesses and truncation."""
+
+    def check(self, adj_sets, pivots, base, budget, stop_at):
+        want, ends, witness, truncated = closure_states_reference(
+            adj_sets, pivots, base, max_states=budget, stop_at=stop_at)
+        got = limited_rotation_closure(
+            masks(adj_sets), mask_of(pivots), list(base),
+            max_states=budget, stop_at=stop_at)
+        assert [tuple(row) for row in got.states.tolist()] == want
+        assert got.endpoints == ends
+        assert got.truncated == truncated
+        for w in reversed(ends):
+            assert got.witness_path(w) == list(witness[w])
+        return want
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("budget", [0, 40])
+    def test_deep_chain(self, seed, budget):
+        adj_sets, pivots, base = chain_case(seed)
+        want = self.check(adj_sets, pivots, base, budget, None)
+        if not budget:
+            assert max(edges_traded(row, base) for row in want) >= 50
+        # Stop at the end the chain reaches 60 rotations down.
+        target = base[-1] - 3 * 60
+        self.check(adj_sets, pivots, base, budget, lambda e: e == target)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("budget", [256, 1024])
+    def test_large_chorded_path(self, seed, budget):
+        n = 1000
+        adj = chorded_path(1000 + seed, n, 4 * n)
+        adj_sets = [set(bits(a)) for a in adj]
+        rng = random.Random(seed)
+        pivots = {v for v in range(n) if rng.random() < 0.8}
+        base = tuple(range(n))
+        want = self.check(adj_sets, pivots, base, budget, None)
+        assert len(want) == budget
+        # Stop at the endpoint the unstopped search found halfway.
+        _, ends, _, _ = closure_states_reference(adj_sets, pivots, base,
+                                                 max_states=budget)
+        target = ends[len(ends) // 2]
+        self.check(adj_sets, pivots, base, budget, lambda e: e == target)
 
 
 def test_search_memory_does_not_grow_with_n_times_budget():
